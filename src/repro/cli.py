@@ -92,7 +92,6 @@ from .experiments import (
     table8,
 )
 from .imputers import fill_mnars
-from .positioning import KERNELS
 from .ingest import (
     DELTA_KIND,
     StreamIngestor,
@@ -214,16 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="spatial_index",
         action="store_false",
         help="serve-bench: brute-force KNN only (A/B baseline)",
-    )
-    pipeline.add_argument(
-        "--kernel",
-        default="grouped",
-        choices=KERNELS,
-        help=(
-            "serve-bench: indexed query kernel to headline (default: "
-            "grouped); the fleet section always A/Bs it against the "
-            "per-bucket loop"
-        ),
     )
     pipeline.add_argument(
         "--telemetry",
@@ -798,7 +787,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 config,
                 artifact_path=args.artifact,
                 spatial_index=args.spatial_index,
-                kernel=args.kernel,
                 telemetry=args.telemetry,
             )
         else:

@@ -16,7 +16,6 @@ from .base import (
 from .index import (
     INDEX_MIN_RECORDS,
     KERNEL_STATS,
-    KERNELS,
     SpatialIndex,
     canonical_k_smallest,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ESTIMATOR_KINDS",
     "INDEX_MIN_RECORDS",
     "KERNEL_STATS",
-    "KERNELS",
     "KNNEstimator",
     "SpatialIndex",
     "canonical_k_smallest",

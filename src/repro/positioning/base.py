@@ -19,20 +19,31 @@ query returns ``(2,)`` by default, or ``(1, 2)`` with
 ``squeeze=False``.  An empty ``(0, D)`` batch returns ``(0, 2)``.
 
 :class:`NearestNeighbourEstimator` adds the shared vectorized
-neighbour search both KNN variants build on.  Two interchangeable
-backends feed the same canonical selection
-(:func:`~repro.positioning.index.canonical_k_smallest`):
+neighbour search both KNN variants build on.  It has one semantic at
+every map size: exact float64 per-pair distances, selected by
+``(distance, record index)`` through
+:func:`~repro.positioning.index.select_k_nearest`.  Two ways of
+finding the candidates feed that one finish:
 
-* **brute force** — the full pairwise squared-distance matrix via the
-  ``‖a‖² + ‖b‖² − 2·a·b`` expansion (two reductions and one matmul),
-  or the slower cancellation-free exact path with
-  ``pairwise_sq_dists(..., exact=True)``;
+* **brute force** (maps below ``INDEX_MIN_RECORDS`` under ``"auto"``,
+  or ``spatial_index="off"``) — the float64 expansion
+  ``‖q‖² + ‖r‖² − 2·q·r`` (one matmul against the ``‖r‖²`` stored at
+  fit time) is only a bound.  By the standard dot-product bound
+  (``γ_D = D·u/(1 − D·u)``, ``u = eps/2``) the expansion and the
+  exact per-pair sum each stay within ``(D + 2)·eps·(‖q‖² + ‖r‖²)``
+  of the true squared distance.  They differ by at most twice that,
+  so no true neighbour's expansion lies more than four times that
+  above the row's k-th expansion value.  Every record within
+  ``8·(D + 2)·eps·(‖q‖² + max‖r‖²)`` of it is kept (2x slack) and
+  re-evaluated exactly;
 * **spatial index** — a :class:`~repro.positioning.index.SpatialIndex`
   over the radio map, used when the ``spatial_index`` mode requests it
-  (``"auto"`` builds one at ``INDEX_MIN_RECORDS`` and above).  The
-  index evaluates exact distances, so its neighbours are bit-identical
-  to the brute *exact* path; against the default expansion path they
-  agree up to the expansion's cancellation error.
+  (``"auto"`` builds one at ``INDEX_MIN_RECORDS`` and above).
+
+So a row's neighbours are bit-identical whichever path serves it and
+whatever batch it arrives in; :func:`pairwise_sq_dists` with
+:func:`~repro.positioning.index.canonical_k_smallest` is the test
+oracle both are pinned against.
 """
 
 from __future__ import annotations
@@ -43,15 +54,14 @@ from typing import Tuple
 import numpy as np
 
 from ..exceptions import PositioningError
-from .index import (
-    INDEX_MIN_RECORDS,
-    KERNELS,
-    SpatialIndex,
-    canonical_k_smallest,
-)
+from .index import INDEX_MIN_RECORDS, SpatialIndex, select_k_nearest
 
 #: Valid values of the ``spatial_index`` estimator field.
 INDEX_MODES = ("auto", "on", "off")
+
+#: Brute-path margin in units of ``(D + 2)·(‖q‖² + max‖r‖²)``: the
+#: proven bound (``4·eps``, see the module docstring) with 2x slack.
+_EXPANSION_MARGIN = 8.0 * np.finfo(float).eps
 
 
 def _validate_training(fingerprints: np.ndarray, locations: np.ndarray):
@@ -67,42 +77,29 @@ def _validate_training(fingerprints: np.ndarray, locations: np.ndarray):
 
 
 def pairwise_sq_dists(
-    queries: np.ndarray,
-    refs: np.ndarray,
-    *,
-    exact: bool = False,
-    chunk_elems: int = 1 << 23,
+    queries: np.ndarray, refs: np.ndarray, *, chunk_elems: int = 1 << 23
 ) -> np.ndarray:
-    """``(n, m)`` squared Euclidean distances.
+    """``(n, m)`` exact squared Euclidean distances (the test oracle).
 
-    The default uses the ``‖a‖²+‖b‖²−2a·b`` expansion: one matmul
-    replaces ``n`` row-wise norm computations, and the result is
-    clipped at zero because the expansion can go slightly negative for
-    near-identical rows.  For large-magnitude vectors (RSSI rows sit
-    around −90 dBm, so ``‖a‖² ≈ 10⁶``) the expansion loses up to half
-    the mantissa to catastrophic cancellation; ``exact=True`` computes
-    ``((a−b)²).sum`` instead, chunked over query rows so at most
-    ``chunk_elems`` difference elements are alive at a time.  The
-    exact path is the parity reference for the spatial index: both
-    reduce a materialised difference over the contiguous trailing
-    axis, so equal pairs produce bit-equal distances.
+    Computes ``((a−b)²).sum`` over a materialised difference, chunked
+    over query rows so at most ``chunk_elems`` difference elements are
+    alive at a time.  It reduces over the contiguous trailing axis
+    like :func:`~repro.positioning.index.pair_exact_sq_dists`, so
+    equal pairs produce bit-equal distances; with
+    :func:`~repro.positioning.index.canonical_k_smallest` it is the
+    reference every serving path is tested against.
     """
     queries = np.asarray(queries, dtype=float)
     refs = np.asarray(refs, dtype=float)
-    if exact:
-        n, d = queries.shape
-        m = refs.shape[0]
-        out = np.empty((n, m))
-        rows = max(1, chunk_elems // max(1, m * d))
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            diff = queries[s:e, None, :] - refs[None, :, :]
-            out[s:e] = (diff * diff).sum(axis=-1)
-        return out
-    q2 = (queries**2).sum(axis=1)[:, None]
-    r2 = (refs**2).sum(axis=1)[None, :]
-    d2 = q2 + r2 - 2.0 * (queries @ refs.T)
-    return np.maximum(d2, 0.0)
+    n, d = queries.shape
+    m = refs.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, chunk_elems // max(1, m * d))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        diff = queries[s:e, None, :] - refs[None, :, :]
+        out[s:e] = (diff * diff).sum(axis=-1)
+    return out
 
 
 class LocationEstimator(ABC):
@@ -182,26 +179,16 @@ class NearestNeighbourEstimator(LocationEstimator):
 
     Subclasses set ``k`` (a dataclass field) and implement
     :meth:`_combine`, which turns the selected neighbours' distances
-    and locations into position estimates.  Two optional dataclass
-    fields tune the search backend:
-
-    * ``spatial_index`` — ``"auto"`` (default; index maps with at
-      least ``INDEX_MIN_RECORDS`` records), ``"on"`` (always index),
-      or ``"off"`` (always brute force);
-    * ``spatial_kernel`` — which indexed query kernel to run
-      (:data:`~repro.positioning.index.KERNELS`): ``"grouped"``
-      (default; the banded CSR grouped-GEMM path) or ``"bucket"``
-      (the per-bucket loop).  Both return bit-identical neighbours;
-      the field exists for A/B benchmarking;
-    * ``exact_distances`` — brute-force with the cancellation-free
-      exact path instead of the matmul expansion (the indexed path is
-      always exact).
+    and locations into position estimates.  The optional
+    ``spatial_index`` field picks how candidates are found —
+    ``"auto"`` (default; index maps with at least
+    ``INDEX_MIN_RECORDS`` records), ``"on"`` (always index) or
+    ``"off"`` (always brute force); the neighbours are exact and
+    bit-identical in every mode.
     """
 
     k: int = 3
     spatial_index: str = "auto"
-    spatial_kernel: str = "grouped"
-    exact_distances: bool = False
 
     @property
     def index(self) -> "SpatialIndex | None":
@@ -209,22 +196,23 @@ class NearestNeighbourEstimator(LocationEstimator):
         return getattr(self, "_index", None)
 
     def _fit(self, fingerprints: np.ndarray, locations: np.ndarray) -> None:
-        self._index = (
+        self._set_search(
             SpatialIndex.build(fingerprints)
             if self._wants_index(fingerprints.shape[0])
             else None
         )
+
+    def _set_search(self, index: "SpatialIndex | None") -> None:
+        """Install the search state for the current ``_fp``: the
+        index (or None) and the brute path's stored ``‖r‖²``."""
+        self._index = index
+        self._r2 = (self._fp * self._fp).sum(axis=1)
 
     def _wants_index(self, n_records: int) -> bool:
         mode = self.spatial_index
         if mode not in INDEX_MODES:
             raise PositioningError(
                 f"spatial_index must be one of {INDEX_MODES}, got {mode!r}"
-            )
-        if self.spatial_kernel not in KERNELS:
-            raise PositioningError(
-                f"spatial_kernel must be one of {KERNELS}, "
-                f"got {self.spatial_kernel!r}"
             )
         return mode == "on" or (
             mode == "auto" and n_records >= INDEX_MIN_RECORDS
@@ -249,7 +237,7 @@ class NearestNeighbourEstimator(LocationEstimator):
         index = self.index
         self._fp, self._loc = _validate_training(fingerprints, locations)
         if index is not None and index.n_dims == self._fp.shape[1]:
-            self._index = index.refreshed(self._fp, keep_old, keep_new)
+            self._set_search(index.refreshed(self._fp, keep_old, keep_new))
         else:
             self._fit(self._fp, self._loc)
         return self
@@ -261,19 +249,28 @@ class NearestNeighbourEstimator(LocationEstimator):
 
         ``dists`` is ``(n, k)`` Euclidean distances, ``locs`` is
         ``(n, k, 2)``; both are canonically ordered by ``(distance,
-        record index)`` regardless of the backend, so the indexed and
-        brute-force paths select identical neighbour sets.
+        record index)``, and both paths finish through
+        :func:`~repro.positioning.index.select_k_nearest`, so they
+        select identical neighbours with identical distances.
         """
-        n = self._fp.shape[0]
+        fp = self._fp
+        n, d = fp.shape
         k = min(self.k, n)
         index = self.index
         if index is not None and k < n:
-            d2k, idx = index.query(queries, k, kernel=self.spatial_kernel)
+            d2k, idx = index.query(queries, k)
         else:
-            d2 = pairwise_sq_dists(
-                queries, self._fp, exact=self.exact_distances
-            )
-            d2k, idx = canonical_k_smallest(d2, k)
+            # f64 expansion as a bound, then the exact finish (see the
+            # module docstring for the margin's error bound).
+            q2 = (queries * queries).sum(axis=1)
+            bound = queries @ fp.T
+            bound *= -2.0
+            bound += self._r2
+            bound += q2[:, None]
+            kth = np.partition(bound, k - 1, axis=1)[:, k - 1]
+            margin = _EXPANSION_MARGIN * (d + 2) * (q2 + self._r2.max())
+            qi, ri = np.nonzero(bound <= (kth + margin)[:, None])
+            d2k, idx = select_k_nearest(queries, fp, k, qi, ri)
         return np.sqrt(d2k), self._loc[idx]
 
     def _predict_batch(self, queries: np.ndarray) -> np.ndarray:
@@ -290,13 +287,15 @@ class NearestNeighbourEstimator(LocationEstimator):
 
     def _restore_extra_state(self, arrays) -> None:
         if "index.assign" in arrays:
-            self._index = SpatialIndex.from_arrays(
-                {
-                    name.split(".", 1)[1]: arr
-                    for name, arr in arrays.items()
-                    if name.startswith("index.")
-                },
-                self._fp,
+            self._set_search(
+                SpatialIndex.from_arrays(
+                    {
+                        name.split(".", 1)[1]: arr
+                        for name, arr in arrays.items()
+                        if name.startswith("index.")
+                    },
+                    self._fp,
+                )
             )
         else:
             # Artifact predates the index (or was built with it off):

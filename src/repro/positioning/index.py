@@ -16,17 +16,18 @@ which is what caps serve throughput on large maps.
    *centered* data (no per-row gathers).  The float32 expansion is
    only a bound: a conservative error margin keeps every reference
    whose true distance could reach the upper bound.
-3. **Exact finish** — the few finalists per query are re-evaluated
-   with per-pair exact float64 ``((a-b)**2).sum()`` arithmetic and fed
-   through :func:`canonical_k_smallest`.
+3. **Exact finish** — the few finalists per query go through
+   :func:`select_k_nearest`: per-pair exact float64
+   ``((a-b)**2).sum()`` re-evaluation, then canonical
+   ``(distance, reference index)`` selection.
 
-Because the final distances use the same exact primitive as
-:func:`~repro.positioning.base.pairwise_sq_dists` with ``exact=True``
-and both paths share :func:`canonical_k_smallest` (ties broken by
-reference index), the index returns **bit-identical** neighbours to
-the brute-force exact path — pinned by the parity tests.  Stages 1-2
-can only over-include candidates (pads + margins), never drop a true
-neighbour.
+The brute-force estimator path finishes through the same
+:func:`select_k_nearest`, so the index returns **bit-identical**
+neighbours to it and to the test oracle
+(:func:`~repro.positioning.base.pairwise_sq_dists` plus
+:func:`canonical_k_smallest`) — pinned by the parity tests.  Stages
+1-2 can only over-include candidates (pads + margins), never drop a
+true neighbour.
 
 The index persists as three small arrays (``mu``, ``basis``,
 ``assign``); everything else is derived from the fingerprints at
@@ -48,20 +49,13 @@ from ..exceptions import PositioningError
 
 __all__ = [
     "INDEX_MIN_RECORDS",
-    "KERNELS",
     "KERNEL_STATS",
     "KernelStats",
     "SpatialIndex",
     "canonical_k_smallest",
     "pair_exact_sq_dists",
+    "select_k_nearest",
 ]
-
-#: Query kernels: ``"grouped"`` (default) evaluates stage 1b and
-#: stage 2 with one GEMM per size-capped band of buckets; ``"bucket"``
-#: is the previous per-bucket loop, kept selectable so benchmarks and
-#: CI can A/B the two in the same process.  Both are exact and return
-#: bit-identical results.
-KERNELS = ("grouped", "bucket")
 
 #: Below this many reference records the dense brute-force path wins
 #: (the index's fixed per-batch overhead outweighs the pruning); the
@@ -72,7 +66,7 @@ INDEX_MIN_RECORDS = 4096
 _N_DIMS = 32
 
 #: Target records per bucket of the 2-D quantile grid.  Large leaves
-#: keep the per-bucket loop overhead small; pruning granularity is
+#: keep the per-bucket bound work small; pruning granularity is
 #: already dominated by the augmented-space radii at this size.
 _LEAF_SIZE = 192
 
@@ -101,6 +95,12 @@ _BAND_ROWS = 768
 #: cap mostly bounds the per-band rectangle width.
 _PROBE_BAND_ROWS = 1024
 
+#: Difference elements gathered per chunk of the exact finish.  Large
+#: batches (a delta re-locating every cached scan) would otherwise
+#: materialise several candidates-by-D temporaries at once; chunks this
+#: size keep the finish's peak memory flat and run faster too.
+_FINISH_CHUNK = 1 << 14
+
 #: Above this many elements a dense per-query scatter for pool/finish
 #: selection is refused in favour of the O(candidates) segment path —
 #: one query with a huge pool would otherwise pad every row to its
@@ -113,7 +113,7 @@ class KernelStats:
 
     Disabled by default (the hot path pays nothing but a flag check);
     the serve benchmark and fleet workers enable it to attribute
-    serve time to the bucket kernel.  ``snapshot()`` returns plain
+    serve time to the indexed query kernel.  ``snapshot()`` returns plain
     floats (seconds / counts) so the numbers survive a pickle across
     the fleet's worker pipes.
     """
@@ -274,6 +274,54 @@ def canonical_k_smallest(
     )
 
 
+def select_k_nearest(
+    queries: np.ndarray,
+    refs: np.ndarray,
+    k: int,
+    qi: np.ndarray,
+    ri: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact finish + canonical selection over candidate pairs.
+
+    ``(qi[j], ri[j])`` pairs a query row with a reference id; callers
+    must include every true neighbour of each query among its pairs
+    (over-inclusion is free).  Each pair is re-evaluated with
+    :func:`pair_exact_sq_dists` and selection runs on lexsorted
+    ``(query, distance, id)`` segments — the first k entries of a
+    query's segment *are* its canonically-ordered neighbours — so
+    memory stays O(candidates); the re-evaluation runs in chunks of
+    :data:`_FINISH_CHUNK` elements.  A query left with fewer than k
+    candidates (a NaN row, say, whose bound admits nothing) falls back
+    to the exact scan of every reference through
+    :func:`canonical_k_smallest`, which orders the same values the
+    same way.  Returns ``(d2, ids)`` of shape ``(n, k)``.
+    """
+    b, d = queries.shape
+    d2x = np.empty(qi.size)
+    step = max(1, _FINISH_CHUNK // max(d, 1))
+    for s in range(0, qi.size, step):
+        e = s + step
+        d2x[s:e] = pair_exact_sq_dists(queries[qi[s:e]], refs[ri[s:e]])
+    order = np.lexsort((ri, d2x, qi))
+    sq, sd, si = qi[order], d2x[order], ri[order]
+    seg = np.searchsorted(sq, np.arange(b + 1))
+    short = np.diff(seg) < k
+    if not short.any():
+        pick = seg[:-1][:, None] + np.arange(k)[None, :]
+        return sd[pick], si[pick]
+    vals = np.empty((b, k))
+    ids = np.empty((b, k), dtype=np.int64)
+    good = np.nonzero(~short)[0]
+    pick = seg[:-1][good, None] + np.arange(k)[None, :]
+    vals[good], ids[good] = sd[pick], si[pick]
+    rows = np.nonzero(short)[0]
+    vals[rows], ids[rows] = canonical_k_smallest(
+        pair_exact_sq_dists(queries[rows][:, None, :], refs[None, :, :]),
+        k,
+    )
+    return vals, ids
+
+
 class SpatialIndex:
     """Bucketed PCA index with an exact-parity query path.
 
@@ -369,7 +417,7 @@ class SpatialIndex:
             .sum(axis=1)
             .astype(np.float32)
         )
-        # Extended reference rows [C_r, 1, c2] for the grouped kernel:
+        # Extended reference rows [C_r, 1, c2] for the query kernel:
         # against query rows [-2*C_q, qf - t, 1] a single GEMM yields
         # d2 - t (or d2 itself with t=0) fused — no per-rectangle
         # elementwise passes for the -2g + c2 + qf expansion.
@@ -518,19 +566,29 @@ class SpatialIndex:
     # Queries
     # ------------------------------------------------------------------
     def query(
-        self, queries: np.ndarray, k: int, kernel: str = "grouped"
+        self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact k-nearest references for a query batch.
 
         Returns ``(d2, ids)`` of shape ``(n, k)``, canonically ordered
-        by ``(distance, reference index)`` — bit-identical to the
-        brute-force exact path through :func:`canonical_k_smallest`,
-        whichever ``kernel`` (see :data:`KERNELS`) evaluates it.
+        by ``(distance, reference index)`` through
+        :func:`select_k_nearest` — the same exact finish and selection
+        the brute-force estimator path uses, so the two are
+        bit-identical.
+
+        Both GEMM stages run over *bands* — runs of consecutive bucket
+        ids capped at a row budget — so the Python iteration count is
+        O(bands), not O(buckets).  The probe pool extracts exactly the
+        probed ``(query, bucket)`` pair values from each band
+        rectangle through one flat CSR gather; stage 2 thresholds the
+        whole band rectangle first and compacts with a single
+        ``flatnonzero`` (over-inclusion is free: every kept pair is
+        re-evaluated exactly in stage 3, and each bucket lives in
+        exactly one band so no pair can appear twice).  Probe buckets
+        are *not* excluded from stage 2 — re-filtering their few rows
+        costs less than masking them out of the rectangles, and the
+        probe pool is used only for the upper bound.
         """
-        if kernel not in KERNELS:
-            raise PositioningError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}"
-            )
         q = np.ascontiguousarray(queries, dtype=float)
         if q.ndim != 2 or q.shape[1] != self._fp.shape[1]:
             raise PositioningError(
@@ -580,87 +638,6 @@ class SpatialIndex:
             (cum < k).sum(axis=1) + 1, self.n_buckets
         )
 
-        if kernel == "grouped":
-            return self._query_grouped(
-                q, k, b, centered32, qfull2, aug, margin,
-                lb_bucket, near, n_probe,
-            )
-        return self._query_bucket(
-            q, k, b, centered32, qfull2, margin, lb_bucket, near,
-            n_probe,
-        )
-
-    def _query_bucket(
-        self,
-        q: np.ndarray,
-        k: int,
-        b: int,
-        centered32: np.ndarray,
-        qfull2: np.ndarray,
-        margin: float,
-        lb_bucket: np.ndarray,
-        near: np.ndarray,
-        n_probe: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The per-bucket-loop kernel (the pre-grouped serving path,
-        kept selectable for in-process A/B benchmarking)."""
-        probe = np.zeros((b, self.n_buckets), dtype=bool)
-        np.put_along_axis(
-            probe,
-            near,
-            np.arange(self.n_buckets)[None, :] < n_probe[:, None],
-            axis=1,
-        )
-
-        qf32 = qfull2.astype(np.float32)
-        pool_qi, pool_ri, pool_v = self._filter_blocks(
-            probe, centered32, qf32, None
-        )
-        ub = self._pooled_kth(pool_qi, pool_v, b, k)
-        ub = ub * _PAD_UB + margin
-
-        # Stage 2: block-filter the remaining buckets against ub.
-        rest = lb_bucket * _PAD_LB <= ub[:, None]
-        rest &= ~probe
-        qi2, ri2, _ = self._filter_blocks(
-            rest, centered32, qf32, (ub + margin).astype(np.float32)
-        )
-        keep = pool_v <= ub[pool_qi]
-        qi = np.concatenate([pool_qi[keep], qi2])
-        ri = np.concatenate([pool_ri[keep], ri2])
-        return self._finish(q, k, b, qi, ri)
-
-    def _query_grouped(
-        self,
-        q: np.ndarray,
-        k: int,
-        b: int,
-        centered32: np.ndarray,
-        qfull2: np.ndarray,
-        aug: np.ndarray,
-        margin: float,
-        lb_bucket: np.ndarray,
-        near: np.ndarray,
-        n_probe: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The CSR grouped-GEMM kernel.
-
-        Both GEMM stages run over *bands* — runs of consecutive bucket
-        ids capped at a row budget — so the Python iteration count is
-        O(bands), not O(buckets).  The probe pool extracts exactly the
-        probed ``(query, bucket)`` pair values from each band
-        rectangle through one flat CSR gather; stage 2 thresholds the
-        whole band rectangle first and compacts with a single
-        ``flatnonzero`` (over-inclusion is free: every kept pair is
-        re-evaluated exactly in stage 3, and each bucket lives in
-        exactly one band so no pair can appear twice).  Unlike the
-        bucket kernel, probe buckets are *not* excluded from stage 2 —
-        re-filtering their few rows costs less than masking them out
-        of the rectangles, and the probe pool is used only for the
-        upper bound.  Candidate sets therefore differ between kernels,
-        but both contain every true neighbour (same pads and margins),
-        so the exact finish returns bit-identical results.
-        """
         stats = KERNEL_STATS
         timed = stats.enabled
         tick = time.perf_counter if timed else (lambda: 0.0)
@@ -824,7 +801,7 @@ class SpatialIndex:
             keep = est <= kth[qi] * _PAD_UB + 4.0 * margin
             qi, ri = qi[keep], ri[keep]
 
-        out = self._finish(q, k, b, qi, ri)
+        out = select_k_nearest(q, self._fp, k, qi, self._order[ri])
         if timed:
             t5 = time.perf_counter()
             stats.add(
@@ -898,98 +875,6 @@ class SpatialIndex:
             )
             kth[ok] = pool_v[order][picks[ok]]
         return np.maximum(np.asarray(kth, dtype=np.float64), 0.0)
-
-    def _finish(
-        self,
-        q: np.ndarray,
-        k: int,
-        b: int,
-        qi: np.ndarray,
-        ri: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stage 3: exact f64 finish + canonical selection.
-
-        Selection runs on lexsorted ``(query, distance, id)`` segments
-        — the first k entries of a query's segment *are* its
-        canonically-ordered neighbours — so memory stays
-        O(candidates) instead of the old dense ``(b, width)`` scatter,
-        which one fat candidate pool could blow up to ``b`` times the
-        candidate count.  Should any query end up with fewer than k
-        candidates (impossible while the stage-1/2 margins hold, but
-        cheap to guard), those queries fall back to the brute exact
-        scan, preserving the parity contract unconditionally.
-        """
-        ref_ids = self._order[ri]
-        d2x = pair_exact_sq_dists(q[qi], self._fp[ref_ids])
-        order = np.lexsort((ref_ids, d2x, qi))
-        sq, sd, si = qi[order], d2x[order], ref_ids[order]
-        seg = np.searchsorted(sq, np.arange(b + 1))
-        short = np.diff(seg) < k
-        if short.any():
-            rows = np.nonzero(short)[0]
-            d2 = pair_exact_sq_dists(
-                q[rows][:, None, :], self._fp[None, :, :]
-            )
-            sv, sids = canonical_k_smallest(d2, k)
-            vals = np.empty((b, k))
-            ids = np.empty((b, k), dtype=np.int64)
-            good = np.nonzero(~short)[0]
-            pick = seg[:-1][good, None] + np.arange(k)[None, :]
-            vals[good] = sd[pick]
-            ids[good] = si[pick]
-            vals[rows] = sv
-            ids[rows] = sids
-            return vals, ids
-        pick = seg[:-1][:, None] + np.arange(k)[None, :]
-        return sd[pick], si[pick]
-
-    def _filter_blocks(
-        self,
-        mask: np.ndarray,
-        centered32: np.ndarray,
-        qf32: np.ndarray,
-        thresh32: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate the ``(query, bucket)`` pairs set in ``mask``.
-
-        Computes float32 expansion distances over each bucket's
-        contiguous block; with ``thresh32`` given only pairs at or
-        under the per-query threshold are kept, otherwise every pair
-        is returned (the probe pool).  Returns ``(query_idx,
-        sorted_row_idx, f32_distance)`` arrays — the distances stay
-        float32 end to end (they are only ever *bounds*; widening
-        them to f64 per bucket bought nothing but copies, and the
-        f32→f64 conversion is value-exact wherever a caller needs the
-        wide type).
-        """
-        qis, ris, vs = [], [], []
-        offsets = self._offsets
-        for bucket in np.nonzero(mask.any(axis=0))[0]:
-            rows = np.nonzero(mask[:, bucket])[0]
-            s, e = offsets[bucket], offsets[bucket + 1]
-            if e == s:
-                continue
-            gram = centered32[rows] @ self._centered32[s:e].T
-            gram *= -2.0
-            gram += self._c2_32[None, s:e]
-            gram += qf32[rows, None]
-            if thresh32 is None:
-                qis.append(np.repeat(rows, e - s))
-                ris.append(np.tile(np.arange(s, e), rows.size))
-                vs.append(gram.ravel())
-            else:
-                rr, cc = np.nonzero(gram <= thresh32[rows, None])
-                qis.append(rows[rr])
-                ris.append(cc + s)
-                vs.append(gram[rr, cc])
-        if not qis:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=np.float32)
-        return (
-            np.concatenate(qis),
-            np.concatenate(ris),
-            np.concatenate(vs),
-        )
 
     @staticmethod
     def _pooled_kth(

@@ -31,6 +31,11 @@ ESTIMATOR_KINDS = {
 
 Payload = Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]
 
+#: Estimator options that no longer exist.  Artifacts saved before
+#: their removal still carry them; every estimator now runs the one
+#: exact search they used to choose between, so loading drops them.
+_RETIRED_CONFIG_KEYS = ("spatial_kernel", "exact_distances")
+
 
 def estimator_payload(estimator: LocationEstimator) -> Payload:
     """``(kind, config, arrays)`` of a fitted estimator.
@@ -69,6 +74,11 @@ def estimator_from_payload(
         raise ArtifactError(f"unknown estimator artifact kind {kind!r}")
     if not is_dataclass(cls):  # pragma: no cover - all kinds are
         raise ArtifactError(f"estimator kind {kind!r} not loadable")
+    config = {
+        name: value
+        for name, value in config.items()
+        if name not in _RETIRED_CONFIG_KEYS
+    }
     try:
         estimator = cls(**config)
     except TypeError as exc:

@@ -8,7 +8,8 @@ Serving API: ``predict`` is fully vectorized over the query batch;
 the neighbour search comes from
 :class:`~repro.positioning.base.NearestNeighbourEstimator` — brute
 force on small maps, a spatial index on large ones (the
-``spatial_index`` / ``exact_distances`` fields select the backend).
+``spatial_index`` field selects the backend; the neighbours are exact
+either way).
 See :mod:`repro.positioning.base` for the shared return-shape
 contract (``(n, D)`` → ``(n, 2)``; ``(D,)`` → ``(2,)``).
 """
@@ -42,8 +43,6 @@ class KNNEstimator(NearestNeighbourEstimator):
     k: int = 3
     name: str = "KNN"
     spatial_index: str = "auto"
-    spatial_kernel: str = "grouped"
-    exact_distances: bool = False
 
     def _combine(self, dists: np.ndarray, locs: np.ndarray) -> np.ndarray:
         return locs.mean(axis=1)
@@ -59,8 +58,6 @@ class WKNNEstimator(NearestNeighbourEstimator):
     eps: float = 1e-6
     name: str = "WKNN"
     spatial_index: str = "auto"
-    spatial_kernel: str = "grouped"
-    exact_distances: bool = False
 
     def _combine(self, dists: np.ndarray, locs: np.ndarray) -> np.ndarray:
         w = 1.0 / (dists + self.eps)

@@ -21,16 +21,14 @@ Two sections cover this PR's index-bound serving work:
   ``int(81920 * venue_scale)`` records (32768 under the ``bench``
   preset) served through identical shards whose estimators differ only
   in ``spatial_index`` mode; reports brute/indexed throughput, their
-  speedup, and the max-abs parity between the two answers (the index
-  is exact, so this must be 0).  The indexed side additionally A/Bs
-  the two query kernels — the grouped CSR-GEMM path against the
-  legacy per-bucket loop, rounds interleaved — and attributes one
-  instrumented grouped batch to its pipeline stages
+  speedup, and the max-abs parity between the two answers (both paths
+  are exact, so this must be 0).  The indexed side additionally
+  attributes one instrumented batch to its kernel stages
   (probe/select/bound/gemm/finish, via
   :data:`~repro.positioning.index.KERNEL_STATS`); the stage
-  breakdown, ``kernel_speedup`` and ``kernel_parity`` land in the
-  result data.  ``--no-spatial-index`` skips the indexed side so CI
-  can A/B the two CLI runs.
+  breakdown lands in the result data as ``kernel_stages``.
+  ``--no-spatial-index`` skips the indexed side so CI can A/B the two
+  CLI runs.
 * **precompute** — the kaide venue with a trained BiSIM, served once
   through the PR-5 path (encoder imputation per batch,
   :class:`EncoderCompletion`) and once through this PR's build-time
@@ -95,12 +93,11 @@ def _fleet_service(
     fingerprints: np.ndarray,
     locations: np.ndarray,
     mode: str,
-    kernel: str = "grouped",
     telemetry: Optional[Telemetry] = None,
 ) -> PositioningService:
-    estimator = WKNNEstimator(
-        spatial_index=mode, spatial_kernel=kernel
-    ).fit(fingerprints, locations)
+    estimator = WKNNEstimator(spatial_index=mode).fit(
+        fingerprints, locations
+    )
     service = PositioningService(cache_size=0, telemetry=telemetry)
     service.register(
         VenueShard(
@@ -115,14 +112,8 @@ def _fleet_service(
 
 
 def _fleet_qps(
-    fingerprints: np.ndarray,
-    locations: np.ndarray,
-    queries: np.ndarray,
-    mode: str,
-    rounds: int,
-    kernel: str = "grouped",
+    service: PositioningService, queries: np.ndarray, rounds: int
 ):
-    service = _fleet_service(fingerprints, locations, mode, kernel)
     keys = ["fleet"] * len(queries)
     out = service.query_batch(keys, queries)  # warm-up + answers
     best = _best_of(
@@ -137,7 +128,6 @@ def run(
     rounds: int = 3,
     artifact_path: Optional[str] = None,
     spatial_index: bool = True,
-    kernel: str = "grouped",
     telemetry: bool = False,
 ) -> ExperimentResult:
     """Benchmark the serving path on the preset's kaide venue.
@@ -146,9 +136,7 @@ def run(
     by default it lives in a temporary directory for the duration of
     the benchmark.  ``spatial_index=False`` skips the indexed side of
     the fleet-scale section (the brute baseline still runs), matching
-    the CLI's ``--no-spatial-index``.  ``kernel`` picks the headline
-    indexed query kernel (``--kernel``); the fleet section A/Bs it
-    against the per-bucket loop either way.
+    the CLI's ``--no-spatial-index``.
 
     ``telemetry`` (``--telemetry``) appends the observability
     section: the fleet-scale service is re-run twice, interleaved —
@@ -228,8 +216,8 @@ def run(
     cached.register(shard)
     keys = ["kaide"] * max(BATCH_SIZES)
     cached.query_batch(keys, queries)
-    warm_s = _best_of(lambda: cached.query_batch(keys, queries), rounds)
-    warm_throughput = max(BATCH_SIZES) / warm_s
+    cached_s = _best_of(lambda: cached.query_batch(keys, queries), rounds)
+    warm_throughput = max(BATCH_SIZES) / cached_s
     lines.append(
         f"warm cache, batch {max(BATCH_SIZES)}: "
         f"{warm_throughput:.0f} queries/s "
@@ -250,50 +238,28 @@ def run(
         0.0, 2.5, size=(max(BATCH_SIZES), FLEET_APS)
     )
     brute_qps, brute_out = _fleet_qps(
-        fleet_fp, fleet_rps, fleet_q, "off", rounds
+        _fleet_service(fleet_fp, fleet_rps, "off"), fleet_q, rounds
     )
     indexed_qps = None
     fleet_speedup = None
     fleet_parity = None
-    bucket_qps = None
-    kernel_speedup = None
-    kernel_parity = None
     kernel_stages: Optional[Dict[str, float]] = None
     if spatial_index:
-        # Kernel A/B over identical indexed shards: grouped CSR
-        # GEMM vs the legacy per-bucket loop, rounds interleaved so
-        # both kernels see the same thermal/turbo conditions.
-        grouped_svc = _fleet_service(
-            fleet_fp, fleet_rps, "on", kernel=kernel
+        indexed_svc = _fleet_service(fleet_fp, fleet_rps, "on")
+        indexed_qps, indexed_out = _fleet_qps(
+            indexed_svc, fleet_q, max(rounds, 3)
         )
-        bucket_svc = _fleet_service(
-            fleet_fp, fleet_rps, "on", kernel="bucket"
-        )
-        fleet_keys = ["fleet"] * len(fleet_q)
-        indexed_out = grouped_svc.query_batch(fleet_keys, fleet_q)
-        bucket_out = bucket_svc.query_batch(fleet_keys, fleet_q)
-        grouped_s = bucket_s = np.inf
-        for _ in range(max(rounds, 3)):
-            start = time.perf_counter()
-            grouped_svc.query_batch(fleet_keys, fleet_q)
-            grouped_s = min(grouped_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            bucket_svc.query_batch(fleet_keys, fleet_q)
-            bucket_s = min(bucket_s, time.perf_counter() - start)
-        indexed_qps = len(fleet_q) / grouped_s
-        bucket_qps = len(fleet_q) / bucket_s
-        kernel_speedup = bucket_s / grouped_s
-        kernel_parity = float(np.abs(indexed_out - bucket_out).max())
         fleet_speedup = indexed_qps / brute_qps
         fleet_parity = float(np.abs(indexed_out - brute_out).max())
 
         # Stage attribution: one instrumented batch through the
-        # grouped kernel (timing gates on the enabled flag, so the
-        # A/B rounds above paid nothing for it).
+        # kernel (timing gates on the enabled flag, so the timed
+        # rounds above paid nothing for it).
+        fleet_keys = ["fleet"] * len(fleet_q)
         KERNEL_STATS.reset()
         KERNEL_STATS.enable()
         try:
-            grouped_svc.query_batch(fleet_keys, fleet_q)
+            indexed_svc.query_batch(fleet_keys, fleet_q)
         finally:
             KERNEL_STATS.disable()
         snap = KERNEL_STATS.snapshot()
@@ -313,11 +279,6 @@ def run(
             f"{max(BATCH_SIZES)}): brute {brute_qps:.0f} q/s | "
             f"indexed {indexed_qps:.0f} q/s "
             f"({fleet_speedup:.1f}x, parity {fleet_parity:.1e})"
-        )
-        lines.append(
-            f"bucket kernel: {kernel} {indexed_qps:.0f} q/s | "
-            f"per-bucket loop {bucket_qps:.0f} q/s "
-            f"({kernel_speedup:.2f}x, parity {kernel_parity:.1e})"
         )
         lines.append(
             "kernel stages (ms): "
@@ -383,24 +344,22 @@ def run(
     telemetry_data = None
     if telemetry:
         fleet_mode = "on" if spatial_index else "off"
-        plain_svc = _fleet_service(
-            fleet_fp, fleet_rps, fleet_mode, kernel=kernel
-        )
+        plain_svc = _fleet_service(fleet_fp, fleet_rps, fleet_mode)
         instr_svc = _fleet_service(
             fleet_fp,
             fleet_rps,
             fleet_mode,
-            kernel=kernel,
             telemetry=Telemetry(sample_every=8),
         )
         fleet_keys = ["fleet"] * len(fleet_q)
         plain_svc.query_batch(fleet_keys, fleet_q)  # warm-up
         instr_svc.query_batch(fleet_keys, fleet_q)
         plain_s = instr_s = np.inf
-        # Interleaved best-of, like the kernel A/B above.  The
-        # KERNEL_STATS toggle is part of the instrumented
-        # configuration (it is what prices the per-stage timers), so
-        # it flips around the instrumented rounds only.
+        # Interleaved best-of, so both see the same thermal/turbo
+        # conditions.  The KERNEL_STATS toggle is part of the
+        # instrumented configuration (it is what prices the
+        # per-stage timers), so it flips around the instrumented
+        # rounds only.
         for _ in range(max(rounds, 5)):
             start = time.perf_counter()
             plain_svc.query_batch(fleet_keys, fleet_q)
@@ -423,7 +382,6 @@ def run(
             fleet_fp,
             fleet_rps,
             fleet_mode,
-            kernel=kernel,
             telemetry=smoke_tel,
         )
         KERNEL_STATS.reset()
@@ -473,10 +431,6 @@ def run(
             ),
             "fleet_speedup": fleet_speedup,
             "fleet_parity": fleet_parity,
-            "fleet_bucket_throughput": bucket_qps,
-            "kernel": kernel,
-            "kernel_speedup": kernel_speedup,
-            "kernel_parity": kernel_parity,
             "kernel_stages": kernel_stages,
             "bisim_before_throughput": before_qps,
             "bisim_after_throughput": after_qps,

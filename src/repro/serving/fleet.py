@@ -38,14 +38,9 @@ tiers that fix both, on top of the existing warm-start artifacts:
     by its broken pipe, respawned, and its in-flight requests are
     resubmitted; the respawned worker lazily re-loads its shards from
     the store, so the venue answers bit-identically after the crash.
-
-    Per-tick venue batching preserves bit-identical answers only when
-    the shard's math is batch-shape invariant.  Estimators built with
-    ``exact_distances=True`` guarantee that (their per-pair reduction
-    never changes with batch composition); the default matmul
-    expansion may differ in the last float bit between a batch of one
-    and a batch of many, which is invisible to accuracy but matters if
-    you diff fleet output against a per-request baseline.
+    Per-tick venue batching keeps answers bit-identical to a
+    per-request baseline too: the nearest-neighbour estimators' exact
+    search does not depend on batch composition.
 
 :class:`FleetStats` aggregates both tiers: lazy-load / fast-reload /
 eviction counters, resident vs memory-mapped bytes against the
@@ -495,7 +490,7 @@ class WorkerStats:
 
     @property
     def kernel_utilization(self) -> float:
-        """Fraction of serve time spent inside the bucket kernel.
+        """Fraction of serve time spent inside the indexed kernel.
 
         The worker enables :data:`~repro.positioning.index.
         KERNEL_STATS` for its lifetime; this ratio attributes its
@@ -581,7 +576,7 @@ class FleetStats:
 
     @property
     def kernel_utilization(self) -> float:
-        """Fleet-wide share of serve time inside the bucket kernel."""
+        """Fleet-wide share of serve time inside the indexed kernel."""
         busy = sum(w.busy_seconds for w in self.workers)
         if busy <= 0:
             return 0.0
@@ -710,16 +705,34 @@ def _worker_main(
                 done_locs: List[np.ndarray] = []
                 errors: List[Tuple[int, str]] = []
                 for venue, items in groups.items():
-                    rids = [rid for rid, _ in items]
                     try:
-                        rows = np.stack([row for _, row in items])
                         shard = registry.get(venue)
+                    except Exception as exc:
+                        reason = f"{type(exc).__name__}: {exc}"
+                        errors.extend((rid, reason) for rid, _ in items)
+                        continue
+                    # A wrong-width scan fails alone, not its venue.
+                    good = []
+                    for rid, row in items:
+                        if row.shape == (shard.n_aps,):
+                            good.append((rid, row))
+                        else:
+                            errors.append((
+                                rid,
+                                f"ServingError: venue {venue!r} expects "
+                                f"({shard.n_aps},) scans, got {row.shape}",
+                            ))
+                    if not good:
+                        continue
+                    rids = [rid for rid, _ in good]
+                    try:
+                        rows = np.stack([row for _, row in good])
                         if tracer is not None and tracer.sample():
                             with tracer.trace(
                                 "worker.serve",
                                 meta={
                                     "venue": venue,
-                                    "rows": len(items),
+                                    "rows": len(good),
                                     "worker": worker_id,
                                 },
                             ):

@@ -163,15 +163,14 @@ def synthetic_venue_pool(
 
     Each venue is an independent log-distance-path-loss radio map
     (its own AP layout), fitted with a
-    :class:`~repro.positioning.WKNNEstimator` built with
-    ``exact_distances=True`` — the batch-shape-invariant distance
-    kernel, so a fleet worker answering a venue's requests as one
-    per-tick batch returns **bit-identical** locations to a
-    single-process service answering them one at a time.  Alternate
-    venues complete queries against a precomputed
-    :class:`~repro.serving.MapCompletion` tensor (the memory-mapped
-    artifact path) vs plain per-AP mean fill, so a fleet over the pool
-    exercises both completion strategies.
+    :class:`~repro.positioning.WKNNEstimator`, whose exact neighbour
+    search does not depend on batch composition, so a fleet worker
+    answering a venue's requests as one per-tick batch returns
+    **bit-identical** locations to a single-process service answering
+    them one at a time.  Alternate venues complete queries against a
+    precomputed :class:`~repro.serving.MapCompletion` tensor (the
+    memory-mapped artifact path) vs plain per-AP mean fill, so a fleet
+    over the pool exercises both completion strategies.
 
     Scan pools carry NaN holes at ``missing_rate`` to exercise the
     completion step.  Returns ``(shards, pools)`` keyed by venue name;
@@ -206,9 +205,7 @@ def synthetic_venue_pool(
             rssi = -30.0 - 30.0 * np.log10(np.maximum(dist, 1.0))
             rssi += rng.normal(0.0, 3.0, size=rssi.shape)
             fp = np.clip(rssi, -95.0, -20.0)
-            estimator = WKNNEstimator(exact_distances=True).fit(
-                fp, rps
-            )
+            estimator = WKNNEstimator().fit(fp, rps)
             fill_values = fp.mean(axis=0)
             completion = (
                 MapCompletion(fp, fill_values) if i % 2 else None

@@ -59,6 +59,46 @@ def test_unfitted_save_rejected(tmp_path):
         save_estimator(KNNEstimator(), tmp_path / "e.npz")
 
 
+@pytest.mark.parametrize("mode", ["off", "on"])
+def test_retired_config_keys_still_load(mode, training_data, tmp_path):
+    """Artifacts saved with the retired ``spatial_kernel`` /
+    ``exact_distances`` options load and answer like a fresh fit."""
+    from repro.artifacts import Artifact, save_artifact
+    from repro.positioning.io import estimator_payload
+
+    fp, loc, queries = training_data
+    fresh = WKNNEstimator(k=4, spatial_index=mode).fit(fp, loc)
+    kind, config, arrays = estimator_payload(fresh)
+    config.update(spatial_kernel="bucket", exact_distances=True)
+    save_artifact(
+        Artifact(kind=kind, arrays=arrays, config=config),
+        tmp_path / "old.npz",
+    )
+    loaded = load_estimator(tmp_path / "old.npz")
+    assert (loaded.index is None) == (mode == "off")
+    np.testing.assert_array_equal(
+        loaded.predict(queries, squeeze=False),
+        fresh.predict(queries, squeeze=False),
+    )
+
+
+def test_unknown_config_key_still_rejected(training_data, tmp_path):
+    from repro.artifacts import Artifact, save_artifact
+    from repro.positioning.io import estimator_payload
+
+    fp, loc, _ = training_data
+    kind, config, arrays = estimator_payload(
+        KNNEstimator().fit(fp, loc)
+    )
+    config["kernel_mode"] = "fast"
+    save_artifact(
+        Artifact(kind=kind, arrays=arrays, config=config),
+        tmp_path / "bad.npz",
+    )
+    with pytest.raises(ArtifactError, match="does not match"):
+        load_estimator(tmp_path / "bad.npz")
+
+
 def test_unknown_kind_rejected(tmp_path):
     from repro.artifacts import Artifact, save_artifact
 

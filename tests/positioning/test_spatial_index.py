@@ -35,7 +35,7 @@ def queries_near(fp, n, seed=1):
 def brute_exact(queries, refs, k):
     """The parity reference: exact distances + canonical selection."""
     return canonical_k_smallest(
-        pairwise_sq_dists(queries, refs, exact=True), k
+        pairwise_sq_dists(queries, refs), k
     )
 
 
@@ -77,7 +77,7 @@ class TestExactDistances:
     def test_exact_matches_per_pair_reference(self):
         fp, _ = synthetic_map(67, d=9, seed=3)
         q = queries_near(fp, 13, seed=4)
-        d2 = pairwise_sq_dists(q, fp, exact=True)
+        d2 = pairwise_sq_dists(q, fp)
         for i in range(q.shape[0]):
             for j in (0, 31, 66):
                 diff = q[i] - fp[j]
@@ -89,7 +89,7 @@ class TestExactDistances:
         # path keeps full precision.
         base = np.full((1, 16), -90.0)
         near = base + 1e-7
-        exact = pairwise_sq_dists(near, base, exact=True)[0, 0]
+        exact = pairwise_sq_dists(near, base)[0, 0]
         truth = 16 * 1e-14
         assert abs(exact - truth) < 1e-16
         assert exact > 0.0
@@ -97,8 +97,8 @@ class TestExactDistances:
     def test_chunking_does_not_change_results(self):
         fp, _ = synthetic_map(50, d=8, seed=5)
         q = queries_near(fp, 20, seed=6)
-        whole = pairwise_sq_dists(q, fp, exact=True)
-        chunked = pairwise_sq_dists(q, fp, exact=True, chunk_elems=64)
+        whole = pairwise_sq_dists(q, fp)
+        chunked = pairwise_sq_dists(q, fp, chunk_elems=64)
         np.testing.assert_array_equal(whole, chunked)
 
 
@@ -179,22 +179,18 @@ class TestIndexParity:
 
 
 class TestKernelParity:
-    """Both query kernels, adversarial bucket shapes, bit parity.
+    """Adversarial bucket shapes, bit parity with the brute oracle.
 
-    The grouped CSR-GEMM kernel and the legacy per-bucket loop share
-    the exact f64 finish, so every case asserts full bit equality —
-    each kernel against the brute exact reference and (implicitly)
-    against the other.
+    The index finishes through the exact f64 selection, so every case
+    asserts full bit equality against the brute exact reference.
     """
 
     @staticmethod
-    def both_kernels_match_brute(fp, q, k):
-        index = SpatialIndex.build(fp)
+    def kernel_matches_brute(fp, q, k):
+        d2, ids = SpatialIndex.build(fp).query(q, k)
         ed2, eids = brute_exact(q, fp, k)
-        for kernel in ("grouped", "bucket"):
-            d2, ids = index.query(q, k, kernel=kernel)
-            np.testing.assert_array_equal(ids, eids, err_msg=kernel)
-            np.testing.assert_array_equal(d2, ed2, err_msg=kernel)
+        np.testing.assert_array_equal(ids, eids)
+        np.testing.assert_array_equal(d2, ed2)
 
     def test_giant_bucket_plus_singletons(self):
         # One dense blob collapses into a single huge bucket while the
@@ -210,7 +206,7 @@ class TestKernelParity:
                 lone[:10] + rng.normal(0.0, 2.0, size=(10, 12)),
             ]
         )
-        self.both_kernels_match_brute(fp, q, 5)
+        self.kernel_matches_brute(fp, q, 5)
 
     def test_empty_buckets_interleaved(self):
         # Two tight clusters at opposite corners: the grid between
@@ -222,7 +218,7 @@ class TestKernelParity:
         q = np.vstack([a[:15], c[:15]]) + rng.normal(
             0.0, 0.3, size=(30, 8)
         )
-        self.both_kernels_match_brute(fp, q, 4)
+        self.kernel_matches_brute(fp, q, 4)
 
     def test_duplicate_fingerprints_mass_ties(self):
         # Heavy duplication: k spans several duplicate groups, so the
@@ -230,14 +226,14 @@ class TestKernelParity:
         base, _ = synthetic_map(150, d=10, seed=42)
         fp = np.repeat(base, 8, axis=0)
         q = queries_near(base, 40, seed=43)
-        self.both_kernels_match_brute(fp, q, 11)
+        self.kernel_matches_brute(fp, q, 11)
 
     def test_k_exceeds_every_bucket_population(self):
         # k far above the mean bucket size forces multi-bucket probes
         # for every query.
         fp, _ = synthetic_map(2000, d=16, seed=44)
         q = queries_near(fp, 24, seed=45)
-        self.both_kernels_match_brute(fp, q, 40)
+        self.kernel_matches_brute(fp, q, 40)
 
     def test_refreshed_index_grouped_kernel(self):
         fp, _ = synthetic_map(2400, d=14, seed=46)
@@ -249,17 +245,10 @@ class TestKernelParity:
         keep = np.setdiff1d(np.arange(2400), dirty)
         refreshed = index.refreshed(new_fp, keep, keep)
         q = queries_near(new_fp, 32, seed=48)
+        d2, ids = refreshed.query(q, 6)
         ed2, eids = brute_exact(q, new_fp, 6)
-        for kernel in ("grouped", "bucket"):
-            d2, ids = refreshed.query(q, 6, kernel=kernel)
-            np.testing.assert_array_equal(ids, eids, err_msg=kernel)
-            np.testing.assert_array_equal(d2, ed2, err_msg=kernel)
-
-    def test_invalid_kernel_rejected(self):
-        fp, _ = synthetic_map(600, d=8, seed=49)
-        index = SpatialIndex.build(fp)
-        with pytest.raises(PositioningError, match="kernel"):
-            index.query(fp[:4], 2, kernel="vectorised")
+        np.testing.assert_array_equal(ids, eids)
+        np.testing.assert_array_equal(d2, ed2)
 
 
 class TestSelectionMemory:
@@ -328,9 +317,7 @@ class TestEstimatorIntegration:
         fp, loc = synthetic_map(2500, d=24, seed=26)
         q = queries_near(fp, 50, seed=27)
         indexed = cls(k=4, spatial_index="on").fit(fp, loc)
-        brute = cls(k=4, spatial_index="off", exact_distances=True).fit(
-            fp, loc
-        )
+        brute = cls(k=4, spatial_index="off").fit(fp, loc)
         np.testing.assert_array_equal(
             indexed.predict(q, squeeze=False),
             brute.predict(q, squeeze=False),

@@ -190,6 +190,29 @@ def test_fleet_matches_single_process_bit_for_bit(city):
     np.testing.assert_array_equal(got, expected)
 
 
+def test_fleet_wrong_width_scan_fails_alone(city):
+    store, mapping, pools, shards = city
+    venue = sorted(mapping)[0]
+    good = [(venue, row) for row in pools[venue][:4]]
+    expected = baseline_answers(shards, good)
+    # One huge bundle: the bad scan and its venue-mates share a tick.
+    with ShardFleet(
+        store, mapping, workers=2, bundle_size=10_000
+    ) as fleet:
+        tickets = fleet.submit_many(
+            good[:2] + [(venue, np.zeros(11))] + good[2:]
+        )
+        fleet.flush()
+        bad = tickets.pop(2)
+        got = np.stack([t.result(timeout=60.0) for t in tickets])
+        with pytest.raises(ServingError, match="expects"):
+            bad.result(timeout=60.0)
+        stats = fleet.stats()
+    np.testing.assert_array_equal(got, expected)
+    assert stats.errors == 1
+    assert stats.requests == 5
+
+
 def test_fleet_unknown_venue_fails_in_caller(city):
     store, mapping, pools, _ = city
     with ShardFleet(store, mapping, workers=2) as fleet:
