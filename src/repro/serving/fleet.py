@@ -81,7 +81,7 @@ from ..exceptions import ArtifactError, ServingError
 from ..obs import MetricsRegistry, Telemetry, Tracer
 from ..positioning import KERNEL_STATS
 from .keys import ShardKey, coerce_key
-from .pipeline import Ticket
+from .pipeline import Ticket, settle
 from .service import SHARD_KIND, PositioningService, VenueShard
 
 __all__ = [
@@ -1006,13 +1006,11 @@ class ShardFleet:
             self._pending.clear()
             self._outstanding = 0
         if leftovers:
-            now = time.perf_counter()
-            with self._done_cv:
-                for _, _, ticket, _, _ in leftovers:
-                    ticket.error = ServingError("fleet closed")
-                    ticket.done_at = now
-                    ticket.done = True
-                self._done_cv.notify_all()
+            closed = [
+                (entry[2], None, ServingError("fleet closed"))
+                for entry in leftovers
+            ]
+            settle(self._done_cv, closed, time.perf_counter())
         if self._flusher is not None:
             self._flusher.join(timeout=2.0)
 
@@ -1242,13 +1240,7 @@ class ShardFleet:
                 # benchmark checks against loadgen's percentiles.
                 self._h_latency.record_many(np.asarray(latencies))
         if settled:
-            with self._done_cv:
-                for ticket, value, error in settled:
-                    ticket.value = value
-                    ticket.error = error
-                    ticket.done_at = now
-                    ticket.done = True
-                self._done_cv.notify_all()
+            settle(self._done_cv, settled, now)
 
     def _handle_crash(self, worker: _Worker, generation: int) -> None:
         """Respawn a dead worker and resubmit its in-flight work.

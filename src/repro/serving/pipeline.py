@@ -2,7 +2,7 @@
 
 Many worker threads submit *individual* queries; a single flusher
 thread coalesces them into micro-batches and routes each batch through
-:meth:`PositioningService.query_batch`'s batched impute→estimate path,
+the serve core behind :meth:`PositioningService.query_batch`,
 so concurrent traffic gets batched-path throughput without any caller
 seeing more than its own request::
 
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,8 +137,22 @@ class Ticket:
         return self.value
 
 
-#: One queued request: (venue, fingerprint, cache key, ticket,
-#: enqueue time, span) — the enqueue stamp anchors the flush
+def settle(
+    done_cv: threading.Condition, settled: Iterable[tuple], now: float
+) -> None:
+    """Resolve ``(ticket, value, error)`` triples stamped ``now`` and
+    wake every waiter on ``done_cv`` once."""
+    with done_cv:
+        for ticket, value, error in settled:
+            ticket.value = value
+            ticket.error = error
+            ticket.done_at = now
+            ticket.done = True
+        done_cv.notify_all()
+
+
+#: One queued request: (canonical venue key, fingerprint, cache key,
+#: ticket, enqueue time, span) — the enqueue stamp anchors the flush
 #: deadline; ``span`` is the sampled request's root trace span (or
 #: ``None``), opened in the submitting thread and finished by the
 #: flusher when the answer lands.
@@ -259,6 +274,7 @@ class ServingPipeline:
             raise ServingError("pipeline is not running")
         t0 = time.perf_counter()
         shard = self.service.shard(venue)
+        venue = shard.key
         rows = shard._validate(batch)
         out, hit, keys = self.service.try_cached(venue, rows)
         tracer = self.service.tracer
@@ -363,22 +379,16 @@ class ServingPipeline:
                 serve_span = tracer.start(
                     "serve", {"batch": len(batch)}
                 )
-                with tracer.activate(serve_span):
-                    out = self.service._serve_rows(
-                        venues, rows, keys, start
-                    )
+            with (
+                tracer.activate(serve_span) if serve_span is not None
+                else nullcontext()
+            ):
+                out = self.service._serve(venues, rows, start, keys)
+            if serve_span is not None:
                 serve_span.duration = time.perf_counter() - start
-            else:
-                out = self.service._serve_rows(venues, rows, keys, start)
         except BaseException as exc:  # resolve tickets, never die silent
-            now = time.perf_counter()
-            with self._done_cv:
-                for entry in batch:
-                    ticket = entry[3]
-                    ticket.error = exc
-                    ticket.done_at = now
-                    ticket.done = True
-                self._done_cv.notify_all()
+            failed = [(entry[3], None, exc) for entry in batch]
+            settle(self._done_cv, failed, time.perf_counter())
             for entry in batch:
                 if entry[5] is not None and tracer is not None:
                     entry[5].meta = {"error": type(exc).__name__}
@@ -387,19 +397,17 @@ class ServingPipeline:
             self.stats.batches += 1
             return
         now = time.perf_counter()
-        with self._done_cv:
-            for i, entry in enumerate(batch):
-                ticket = entry[3]
-                ticket.value = out[i]
-                ticket.done_at = now
-                ticket.done = True
-            self._done_cv.notify_all()
+        settle(
+            self._done_cv,
+            [(entry[3], out[i], None) for i, entry in enumerate(batch)],
+            now,
+        )
         # Queue-inclusive per-request latency, vectorized over the
         # batch (one searchsorted, one scatter-add).
         self._h_latency.record_many(
             now - np.asarray([entry[4] for entry in batch])
         )
-        if spans and tracer is not None:
+        if serve_span is not None:
             for entry in batch:
                 root = entry[5]
                 if root is None:

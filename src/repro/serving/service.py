@@ -18,6 +18,24 @@ fingerprints, and keeps latency/throughput counters::
     locations = service.query_batch(keys, fingerprints)  # (n, 2)
     print(service.stats.render())
 
+Every batch — a direct :meth:`PositioningService.query_batch` or a
+:class:`~repro.serving.pipeline.ServingPipeline` micro-batch — goes
+through one serve core in four steps:
+
+1. **group**: resolve each distinct venue once to its shard and
+   canonical key (``ShardKey("kaide")`` and ``"kaide"`` are one
+   venue), validate the width, and stack each venue's rows into one
+   contiguous array (a single-venue ``(n, D)`` ndarray is served as
+   the caller's array, no copy);
+2. **cache filter** (skipped when ``cache_size == 0``): quantize the
+   stacks into cache keys, answer hits under the lock, and coalesce
+   repeats of an in-batch miss onto one leader row;
+3. **locate**: one batched :meth:`VenueShard.locate` per venue over
+   its miss rows;
+4. **fan out and publish**: scatter answers back to batch order,
+   insert fresh answers into the cache and publish the counters in
+   one critical section.
+
 The serve path never runs the BiSIM encoder.  Shards built with a
 :class:`~repro.bisim.BiSIMConfig` precompute the fully-imputed
 radio-map tensor at build time and complete queries against it with
@@ -44,9 +62,13 @@ Thread safety
   tuple once and can never observe a torn half-old/half-new pipeline;
 * :meth:`PositioningService.reload` swaps the shard and invalidates
   the venue's cache entries under the same lock that cache reads take,
-  and every shard carries an ``epoch`` counter so a batch computed
-  against the old pipeline cannot re-insert a stale answer after the
-  invalidation.
+  and every shard carries an ``epoch`` counter;
+* an in-flight batch keeps the shards it resolved in step 1.  When a
+  reload, a delta apply or an :meth:`~PositioningService.unregister`
+  lands mid-batch, the batch still returns the answers those shards
+  computed (its requests arrived first) but does not cache them:
+  step 4 inserts only while the venue still maps to the same shard at
+  the same epoch.
 """
 
 from __future__ import annotations
@@ -54,7 +76,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (
@@ -222,6 +244,26 @@ class _PreparedUpdate:
     source: _ShardSource
     rows: int
     paths: int
+
+
+@dataclass
+class _Group:
+    """One venue's rows inside the serve core: batch positions
+    ``rows`` (``None``: all, in order), their ``(m, D)`` ``stack`` and
+    ``(m, 2)`` answers ``out``.  Cache-on only: ``missed`` positions,
+    the first miss per key (``leaders``, computed by the shard), each
+    miss's leader when keys repeat (``fan``) and the probed ``epoch``."""
+
+    key: str
+    shard: "VenueShard"
+    rows: Optional[np.ndarray]
+    stack: np.ndarray
+    out: Optional[np.ndarray] = None
+    keys: Sequence[CacheKey] = ()
+    missed: Sequence[int] = ()
+    leaders: Sequence[int] = ()
+    fan: Sequence[int] = ()
+    epoch: int = 0
 
 
 @dataclass
@@ -1144,9 +1186,9 @@ class PositioningService:
         Returns the removed shard, or ``None`` when the venue was not
         registered — eviction races with nothing.  In-flight
         :meth:`query_batch` calls that already resolved the shard
-        finish against it; new queries for the venue fail with the
-        usual unknown-venue :class:`ServingError` until it is
-        registered again.
+        finish against it without caching their answers; new queries
+        for the venue fail with the usual unknown-venue
+        :class:`ServingError` until it is registered again.
         """
         key = coerce_key(key)
         with self._lock:
@@ -1405,21 +1447,22 @@ class PositioningService:
     ) -> np.ndarray:
         """Locate a batch of raw fingerprints → ``(n, 2)``.
 
-        ``venues[i]`` names the shard for ``fingerprints[i]``; rows may
+        ``venues[i]`` names the shard for ``fingerprints[i]``, as a
+        string or a :class:`~repro.serving.keys.ShardKey`; rows may
         mix venues freely.  ``fingerprints`` is either an ``(n, D)``
-        ndarray — served zero-copy, whatever the venue mix, as long as
-        every named shard expects ``D`` APs — or a sequence of
-        ``(D_venue,)`` vectors, which also lets rows differ in AP
-        count.  Cache hits are answered immediately; rows repeating an
-        identical (venue, cache key) within the batch are computed
-        once and fanned out (the repeats count as hits); the remaining
-        misses are grouped per venue and go through each shard's
-        batched complete→estimate path in one call.
+        ndarray, as long as every named shard expects ``D`` APs, or a
+        sequence of ``(D_venue,)`` vectors, which also lets rows
+        differ in AP count.  Every row is validated before the cache
+        or the counters are touched.
 
-        An ndarray batch never round-trips through per-row Python
-        lists: rows are grouped into one contiguous stack per venue,
-        and with caching disabled a batch goes straight to the shards
-        with no key machinery at all (one venue: no grouping either).
+        Rows are grouped into one contiguous stack per venue; an
+        ndarray naming a single venue is served as is, without a
+        copy.  Cache hits are answered immediately; rows repeating an
+        identical (venue, cache key) within the batch are computed
+        once and fanned out (the repeats count as hits); the
+        remaining misses go through each shard's batched
+        complete→estimate path in one call.  With caching disabled no
+        cache key is computed at all.
 
         With a :class:`~repro.obs.Telemetry` attached, a sampled call
         opens a ``service.query_batch`` root span whose children
@@ -1445,246 +1488,197 @@ class PositioningService:
         fingerprints: Sequence[np.ndarray],
     ) -> np.ndarray:
         start = time.perf_counter()
-        n = len(venues)
-        if n != len(fingerprints):
+        if len(venues) != len(fingerprints):
             raise ServingError("venues/fingerprints length mismatch")
-
-        if self._floor_routers and n:
+        if self._floor_routers and len(venues):
             # Stacked venues: classify bare-venue rows onto their
             # floor shards before any shard is resolved.  Guarded so
             # a service with no routers attached takes the exact
             # single-floor code path.
             venues = self._route_floors(venues, fingerprints)
+        return self._serve(venues, fingerprints, start)
 
-        if (
-            n > 0
-            and isinstance(fingerprints, np.ndarray)
-            and fingerprints.ndim == 2
-        ):
-            distinct = set(venues)
-            if len(distinct) == 1:
-                venue = next(iter(distinct))
-                shard = self.shard(venue)
-                batch = shard._validate(fingerprints)
-                if not self.cache_size:
-                    return self._serve_uniform(
-                        venue, shard, batch, start
-                    )
-                keys = self.cache_keys(venue, batch)
-                return self._serve_rows(
-                    venues, batch, keys, start, {venue: batch}
-                )
-            # Mixed venues over one (n, D) array: group rows into a
-            # contiguous per-venue stack each — no per-row round trip.
-            batch = np.asarray(fingerprints, dtype=float)
-            varr = np.asarray(venues, dtype=object)
-            groups: Dict[str, np.ndarray] = {}
-            stacks = {}
-            for venue in distinct:
-                shard = self.shard(venue)
-                if batch.shape[1] != shard.n_aps:
-                    raise ServingError(
-                        f"venue {venue!r} expects (n, {shard.n_aps}) "
-                        f"queries, got {batch.shape}"
-                    )
-                rows = np.flatnonzero(varr == venue)
-                groups[venue] = rows
-                stacks[venue] = np.ascontiguousarray(batch[rows])
-            if not self.cache_size:
-                return self._serve_grouped(groups, stacks, n, start)
-            keys = [None] * n
-            for venue, rows in groups.items():
-                venue_keys = self.cache_keys(venue, stacks[venue])
-                for i, key in zip(rows.tolist(), venue_keys):
-                    keys[i] = key
-            return self._serve_rows(venues, batch, keys, start, stacks)
-
-        # Ragged sequence batch (possibly mixed AP counts): validate
-        # every row before touching stats or the cache, so a bad row
-        # cannot leave the counters half-updated.
-        rows_fp: List[np.ndarray] = []
-        by_venue: Dict[str, List[int]] = {}
-        for i, (venue, fingerprint) in enumerate(
-            zip(venues, fingerprints)
-        ):
-            shard = self.shard(venue)
-            fp = np.asarray(fingerprint, dtype=float)
-            if fp.shape != (shard.n_aps,):
-                raise ServingError(
-                    f"venue {venue!r} expects ({shard.n_aps},) "
-                    "fingerprints"
-                )
-            rows_fp.append(fp)
-            by_venue.setdefault(venue, []).append(i)
-
-        keys: List[Optional[CacheKey]] = [None] * n
-        stacks: Dict[str, np.ndarray] = {}
+    def _serve(
+        self,
+        venues: Sequence[Union[str, ShardKey]],
+        fingerprints: Sequence[np.ndarray],
+        start: float,
+        keys: Optional[Sequence[CacheKey]] = None,
+    ) -> np.ndarray:
+        """The serve core of :meth:`query_batch` and the pipeline
+        flush: group → cache filter → locate → publish (see the module
+        docstring).  ``keys`` may carry the rows' cache keys when the
+        caller already computed them (the pipeline's submit probe)."""
+        groups = self._group(venues, fingerprints)
+        tracer = self.tracer
+        if tracer is not None and tracer.current() is None:
+            tracer = None
+        hits = misses = 0
         if self.cache_size:
-            for venue, rows in by_venue.items():
-                batch = np.stack([rows_fp[i] for i in rows])
-                stacks[venue] = batch
-                for i, key in zip(rows, self.cache_keys(venue, batch)):
-                    keys[i] = key
-        return self._serve_rows(venues, rows_fp, keys, start, stacks)
+            for g in groups:
+                if keys is None:
+                    g.keys = self.cache_keys(g.key, g.stack)
+                else:
+                    g.keys = (
+                        keys if g.rows is None
+                        else [keys[i] for i in g.rows]
+                    )
+            with (
+                tracer.span("cache") if tracer is not None
+                else nullcontext()
+            ):
+                with self._lock:
+                    for g in groups:
+                        g.out = np.empty((len(g.stack), 2))
+                        g.missed = self._probe(g.keys, g.out)
+                        g.epoch = g.shard.epoch
+                for g in groups:
+                    # A repeat of an in-batch miss is computed once by
+                    # its leader and counted as a hit.
+                    first: Dict[CacheKey, int] = {}
+                    for i in g.missed:
+                        first.setdefault(g.keys[i], i)
+                    g.leaders = list(first.values())
+                    if len(g.leaders) < len(g.missed):
+                        g.fan = [first[g.keys[i]] for i in g.missed]
+                    hits += len(g.stack) - len(g.leaders)
+                    misses += len(g.leaders)
 
-    def _serve_grouped(
-        self,
-        groups: Dict[str, np.ndarray],
-        stacks: Dict[str, np.ndarray],
-        n: int,
-        start: float,
-    ) -> np.ndarray:
-        """Cache-off mixed-venue fast path: one locate per venue
-        stack, vectorized fan-in, one stats publish."""
-        tracer = self.tracer
-        if tracer is not None and tracer.current() is None:
-            tracer = None
-        out = np.empty((n, 2))
-        for venue, rows in groups.items():
-            shard = self._shards[venue]
-            out[rows] = (
-                shard.locate(stacks[venue]) if tracer is None
-                else shard.locate(stacks[venue], tracer=tracer)
-            )
-        with self._lock:
-            for venue, rows in groups.items():
-                self._venue_counter(venue).add(int(rows.size))
-            elapsed = time.perf_counter() - start
-            self._c_queries.add(n)
-            self._c_batches.add(1)
-            self._c_seconds.add(elapsed)
-            self._h_latency.record_n(elapsed, n)
-        return out
-
-    def _serve_uniform(
-        self,
-        venue: str,
-        shard: VenueShard,
-        batch: np.ndarray,
-        start: float,
-    ) -> np.ndarray:
-        """Cache-off single-venue fast path: one locate, one stats
-        publish, no per-row bookkeeping."""
-        tracer = self.tracer
-        if tracer is not None and tracer.current() is None:
-            tracer = None
-        out = (
-            shard.locate(batch) if tracer is None
-            else shard.locate(batch, tracer=tracer)
-        )
-        n = batch.shape[0]
-        with self._lock:
-            self._venue_counter(venue).add(n)
-            elapsed = time.perf_counter() - start
-            self._c_queries.add(n)
-            self._c_batches.add(1)
-            self._c_seconds.add(elapsed)
-            self._h_latency.record_n(elapsed, n)
-        return out
-
-    def _serve_rows(
-        self,
-        venues: Sequence[str],
-        rows_fp: Sequence[np.ndarray],
-        keys: Sequence[Optional[CacheKey]],
-        start: float,
-        stacks: Optional[Dict[str, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Serve pre-validated rows (the shared back half of
-        :meth:`query_batch` and the micro-batching pipeline's flush).
-
-        Three phases: cache lookup + duplicate coalescing under the
-        lock, per-venue shard compute outside it, then fan-out /
-        cache insertion / stats under the lock again.  ``stacks`` may
-        carry per-venue ``(n_venue, D)`` arrays already stacked by the
-        caller (for the cache keys); a venue whose rows all missed
-        reuses its stack instead of re-stacking.
-        """
-        n = len(venues)
-        tracer = self.tracer
-        if tracer is not None and tracer.current() is None:
-            tracer = None
-        out = np.empty((n, 2))
-        misses: Dict[str, List[int]] = {}
-        fanout: Dict[int, List[int]] = {}
-        leaders: Dict[CacheKey, int] = {}
-        epochs: Dict[str, int] = {}
-        # Counters accumulate locally and publish in ONE critical
-        # section at the end, so a concurrent stats snapshot never
-        # sees this batch's hits without its queries (or vice versa).
-        hits = misses_count = 0
-        with (
-            tracer.span("cache") if tracer is not None
-            else nullcontext()
-        ):
-            with self._lock:
-                for i, venue in enumerate(venues):
-                    key = keys[i]
-                    if key is not None:
-                        cached = self._cache.get(key)
-                        if cached is not None:
-                            self._cache.move_to_end(key)
-                            hits += 1
-                            out[i] = cached
-                            continue
-                        leader = leaders.get(key)
-                        if leader is not None:
-                            # Repeat of an in-batch miss: compute
-                            # once, fan the answer out, count the
-                            # repeat as a hit — the shard never sees
-                            # the duplicate.
-                            fanout[leader].append(i)
-                            hits += 1
-                            continue
-                        leaders[key] = i
-                        misses_count += 1
-                    fanout[i] = []
-                    misses.setdefault(venue, []).append(i)
-                for venue in misses:
-                    epochs[venue] = self._shards[venue].epoch
-
-        # Per-venue tallies fold outside the lock; the critical
-        # section below just merges one small dict.
-        venue_counts = Counter(venues)
-        computed: Dict[str, Tuple[List[int], np.ndarray]] = {}
-        for venue, rows in misses.items():
-            stack = stacks.get(venue) if stacks else None
-            if stack is not None and len(rows) == len(stack):
-                # Every row of the venue missed (cold cache): the
-                # miss list equals the stacked batch, in order.
-                batch = stack
-            else:
-                batch = np.stack([rows_fp[i] for i in rows])
-            shard = self._shards[venue]
+        for g in groups:
+            if g.out is not None and not g.leaders:
+                continue  # every row was a cache hit
+            # Cache off, or every row a distinct miss: the whole stack.
+            whole = g.out is None or len(g.leaders) == len(g.stack)
+            batch = g.stack if whole else g.stack[g.leaders]
             located = (
-                shard.locate(batch) if tracer is None
-                else shard.locate(batch, tracer=tracer)
+                g.shard.locate(batch) if tracer is None
+                else g.shard.locate(batch, tracer=tracer)
             )
-            computed[venue] = (rows, located)
+            if whole:
+                g.out = located
+            else:
+                g.out[g.leaders] = located
+                if g.fan:
+                    g.out[g.missed] = g.out[g.fan]
 
+        if len(groups) == 1 and groups[0].rows is None:
+            out = groups[0].out
+        else:
+            out = np.empty((len(venues), 2))
+            for g in groups:
+                out[g.rows] = g.out
         with self._lock:
-            for venue, (rows, located) in computed.items():
-                # A reload between the phases means these answers came
-                # from the replaced pipeline: still correct for their
-                # requests (which arrived before the reload), but they
-                # must not repopulate the freshly-invalidated cache.
-                fresh = self._shards[venue].epoch == epochs[venue]
-                for i, loc in zip(rows, located):
-                    out[i] = loc
-                    for j in fanout[i]:
-                        out[j] = loc
-                    if fresh:
-                        self._cache_put(keys[i], loc)
-            for venue, count in venue_counts.items():
-                self._venue_counter(venue).add(count)
-            elapsed = time.perf_counter() - start
-            self._c_hits.add(hits)
-            self._c_misses.add(misses_count)
-            self._c_queries.add(n)
-            self._c_batches.add(1)
-            self._c_seconds.add(elapsed)
-            self._h_latency.record_n(elapsed, n)
+            for g in groups:
+                # A reload, delta or unregister that landed mid-batch
+                # leaves these answers right for their requests, which
+                # arrived first, but they must not repopulate the
+                # venue's invalidated cache.
+                if (
+                    g.leaders
+                    and self._shards.get(g.key) is g.shard
+                    and g.shard.epoch == g.epoch
+                ):
+                    for i in g.leaders:
+                        self._cache_put(g.keys[i], g.out[i])
+            self._publish(
+                start,
+                [(g.key, len(g.stack)) for g in groups],
+                len(venues),
+                hits=hits,
+                misses=misses,
+                batches=1,
+            )
         return out
+
+    def _group(
+        self,
+        venues: Sequence[Union[str, ShardKey]],
+        fingerprints: Sequence[np.ndarray],
+    ) -> List[_Group]:
+        """Step 1 of the serve core: one :class:`_Group` per venue.
+
+        Each distinct venue spelling is resolved once, and spellings
+        of one shard share its canonical key.  Every row is validated
+        here, so a bad row fails the batch before the cache or the
+        counters are touched.
+        """
+        shards: Dict[str, Tuple[VenueShard, List]] = {}
+        for venue in set(venues):
+            shard = self.shard(venue)
+            shards.setdefault(shard.key, (shard, []))[1].append(venue)
+        dense = (
+            isinstance(fingerprints, np.ndarray)
+            and fingerprints.ndim == 2
+        )
+        names = np.asarray(venues, dtype=object) if len(shards) > 1 else None
+        groups = []
+        for key, (shard, spellings) in shards.items():
+            rows, part = None, fingerprints  # one venue: caller's rows
+            if names is not None:
+                match = names == spellings[0]
+                for alias in spellings[1:]:
+                    match |= names == alias
+                rows = np.flatnonzero(match)
+                part = (
+                    fingerprints[rows] if dense
+                    else [fingerprints[i] for i in rows]
+                )
+            if not dense:
+                try:
+                    part = np.asarray(np.stack(part), dtype=float)
+                except (TypeError, ValueError):
+                    raise ServingError(
+                        f"venue {key!r} expects ({shard.n_aps},) "
+                        "fingerprints"
+                    ) from None
+            groups.append(_Group(key, shard, rows, shard._validate(part)))
+        return groups
+
+    def _probe(
+        self, keys: Sequence[CacheKey], out: np.ndarray
+    ) -> List[int]:
+        """Answer the cached ``keys`` into ``out`` → positions missed.
+
+        Caller holds ``self._lock``.
+        """
+        cache = self._cache
+        missed = []
+        for i, key in enumerate(keys):
+            cached = cache.get(key)
+            if cached is None:
+                missed.append(i)
+            else:
+                cache.move_to_end(key)
+                out[i] = cached
+        return missed
+
+    def _publish(
+        self,
+        start: float,
+        per_venue: Sequence[Tuple[str, int]],
+        queries: int,
+        *,
+        hits: int = 0,
+        misses: int = 0,
+        batches: int = 0,
+    ) -> None:
+        """Publish one call's counters; caller holds ``self._lock``.
+
+        One critical section per call, so a concurrent :attr:`stats`
+        snapshot never sees a batch's hits without its queries.
+        """
+        for venue, count in per_venue:
+            self._venue_counter(venue).add(count)
+        elapsed = time.perf_counter() - start
+        if hits:
+            self._c_hits.add(hits)
+        if misses:
+            self._c_misses.add(misses)
+        if batches:
+            self._c_batches.add(batches)
+        self._c_queries.add(queries)
+        self._c_seconds.add(elapsed)
+        self._h_latency.record_n(elapsed, queries)
 
     def try_cached(
         self, venue: str, batch: np.ndarray
@@ -1706,25 +1700,17 @@ class PositioningService:
         if not self.cache_size:
             return out, hit, [None] * n
         start = time.perf_counter()
-        keys: List[Optional[CacheKey]] = list(
-            self.cache_keys(venue, batch)
-        )
+        venue = self.shard(venue).key
+        keys: List[Optional[CacheKey]] = self.cache_keys(venue, batch)
         with self._lock:
-            hits = 0
-            for i, key in enumerate(keys):
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    out[i] = cached
-                    hit[i] = True
-                    hits += 1
+            missed = self._probe(keys, out)
+            hits = n - len(missed)
             if hits:
-                elapsed = time.perf_counter() - start
-                self._c_hits.add(hits)
-                self._c_queries.add(hits)
-                self._venue_counter(venue).add(hits)
-                self._c_seconds.add(elapsed)
-                self._h_latency.record_n(elapsed, hits)
+                self._publish(start, [(venue, hits)], hits, hits=hits)
+        if hits:
+            hit[:] = True
+            if missed:
+                hit[missed] = False
         return out, hit, keys
 
     def reset_stats(self) -> None:
@@ -1773,12 +1759,6 @@ class PositioningService:
         # outside any quantized RSSI, so it maps back unambiguously.
         fps[ints == 1_000_000_000] = np.nan
         return fps
-
-    def _cache_key(
-        self, venue: str, fingerprint: np.ndarray
-    ) -> CacheKey:
-        fp = np.asarray(fingerprint, dtype=float)
-        return self.cache_keys(venue, fp[None, :])[0]
 
     def _cache_put(
         self, key: Optional[CacheKey], location: np.ndarray

@@ -9,7 +9,7 @@ import pytest
 from repro.core import MAROnlyDifferentiator
 from repro.exceptions import ServingError
 from repro.positioning import KNNEstimator, WKNNEstimator
-from repro.serving import PositioningService, ServingPipeline
+from repro.serving import PositioningService, ServingPipeline, ShardKey
 
 
 def scans(dataset, n, seed):
@@ -236,6 +236,32 @@ class TestFastPath:
             pipeline.locate("kaide", fp, timeout=5.0)
         assert pipeline.stats.fast_path_hits == 0
         assert pipeline.stats.flushed == 2
+
+
+class TestShardKeys:
+    def test_shard_key_submits_share_the_venue(
+        self, service, kaide_smoke
+    ):
+        """ShardKey and string submits land on one canonical venue:
+        same answers, one per-venue count, shared cache entries."""
+        batch = scans(kaide_smoke, 2, 14)
+        expected = service.shard("kaide").locate(batch)
+        venues = [ShardKey("kaide"), "kaide"]
+        with ServingPipeline(
+            service, max_batch=2, max_delay_ms=5000.0
+        ) as pipeline:
+            tickets = [
+                pipeline.submit(v, fp) for v, fp in zip(venues, batch)
+            ]
+            out = np.stack([t.result(timeout=5.0) for t in tickets])
+            np.testing.assert_array_equal(out, expected)
+            again = pipeline.submit(ShardKey("kaide"), batch[0])
+            np.testing.assert_array_equal(
+                again.result(timeout=5.0), expected[0]
+            )
+        assert pipeline.stats.fast_path_hits == 1
+        assert service.stats.per_venue == {"kaide": 3}
+        assert {k[0] for k in service._cache} == {"kaide"}
 
 
 class TestValidation:

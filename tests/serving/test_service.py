@@ -10,7 +10,12 @@ from repro.bisim import BiSIMConfig
 from repro.core import MAROnlyDifferentiator, TopoACDifferentiator
 from repro.exceptions import ServingError
 from repro.positioning import KNNEstimator, WKNNEstimator
-from repro.serving import PositioningService
+from repro.serving import (
+    PositioningService,
+    ServingPipeline,
+    ShardKey,
+    VenueShard,
+)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +386,38 @@ class TestCacheInterleaving:
         shard.locate = original
         assert len(svc._cache) == 0  # stale insert was dropped
 
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize("form", ["ndarray", "list"])
+    def test_batch_survives_unregister_mid_flight(
+        self, kaide_smoke, form, cache_size
+    ):
+        """An unregister landing between the probe and the publish:
+        the batch returns what the shard it resolved computed, and
+        caches none of it for a later re-registration to serve."""
+        svc = PositioningService(cache_size=cache_size)
+        shard = svc.deploy(
+            "kaide",
+            kaide_smoke.radio_map,
+            MAROnlyDifferentiator(),
+            estimator=KNNEstimator(),
+        )
+        batch = scans(kaide_smoke, 4, 29)
+        expected = shard.locate(batch)
+        original = shard.locate
+
+        def racing_locate(queries):
+            out = original(queries)
+            svc.unregister("kaide")  # eviction lands mid-batch
+            return out
+
+        shard.locate = racing_locate
+        fingerprints = batch if form == "ndarray" else list(batch)
+        out = svc.query_batch(["kaide"] * 4, fingerprints)
+        shard.locate = original
+        np.testing.assert_array_equal(out, expected)
+        assert not [k for k in svc._cache if k[0] == "kaide"]
+        assert svc.venues == ()
+
     def test_concurrent_queries_consistent(self, kaide_smoke):
         """Many threads, shared service: every answer matches the
         single-threaded reference and every query is counted."""
@@ -582,6 +619,130 @@ class TestStats:
         final = svc.stats
         assert final.queries == 4 * 40 * 8
         assert final.queries == final.cache_hits + final.cache_misses
+
+
+@pytest.fixture(scope="module")
+def core_shards(kaide_smoke, longhu_smoke):
+    """Two same-width venues over one map plus a wider one."""
+    return {
+        name: VenueShard.build(
+            name,
+            ds.radio_map,
+            MAROnlyDifferentiator(),
+            estimator=WKNNEstimator(),
+        )
+        for name, ds in (
+            ("north", kaide_smoke),
+            ("south", kaide_smoke),
+            ("longhu", longhu_smoke),
+        )
+    }
+
+
+class TestServeCore:
+    """Every entry shape goes through the one group → cache filter →
+    locate → publish core and gets the same answers and counters."""
+
+    @staticmethod
+    def make_batch(shape, kaide_smoke, longhu_smoke):
+        """``(venues, rows)`` with in-batch duplicate rows."""
+        a, b, c = scans(kaide_smoke, 3, 70)
+        x, y = scans(longhu_smoke, 2, 71)
+        if shape == "single":
+            return ["north"] * 6, np.stack([a, b, a, c, b, a])
+        if shape == "mixed":
+            venues = ["north", "south", "north", "south", "north"]
+            return venues, np.stack([a, a, b, a, a])
+        venues = ["north", "longhu", "north", "longhu", "north"]
+        return venues, [a, x, b, x, a]
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize(
+        "shape", ["single", "mixed", "ragged", "pipeline"]
+    )
+    def test_parity_matrix(
+        self, core_shards, kaide_smoke, longhu_smoke, shape, cache_size
+    ):
+        svc = PositioningService(cache_size=cache_size)
+        for shard in core_shards.values():
+            svc.register(shard)
+        venues, rows = self.make_batch(
+            "ragged" if shape == "pipeline" else shape,
+            kaide_smoke,
+            longhu_smoke,
+        )
+        expected = np.empty((len(venues), 2))
+        for venue in set(venues):
+            idx = [i for i, v in enumerate(venues) if v == venue]
+            expected[idx] = core_shards[venue].locate(
+                np.stack([rows[i] for i in idx])
+            )
+        if shape == "pipeline":
+            with ServingPipeline(
+                svc, max_batch=len(venues), max_delay_ms=5000.0
+            ) as pipeline:
+                tickets = [
+                    pipeline.submit(v, fp) for v, fp in zip(venues, rows)
+                ]
+                out = np.stack([t.result(timeout=10.0) for t in tickets])
+            assert pipeline.stats.batches == 1
+        else:
+            out = svc.query_batch(venues, rows)
+        np.testing.assert_array_equal(out, expected)
+        stats = svc.stats
+        assert stats.queries == len(venues)
+        assert stats.batches == 1
+        assert sum(stats.per_venue.values()) == stats.queries
+        if cache_size:
+            assert stats.queries == stats.cache_hits + stats.cache_misses
+            assert stats.cache_hits > 0  # the duplicates coalesced
+        else:
+            assert stats.cache_hits == stats.cache_misses == 0
+            assert not svc._cache
+
+    def test_cache_off_single_venue_batch_is_not_copied(
+        self, core_shards, kaide_smoke
+    ):
+        svc = PositioningService(cache_size=0)
+        shard = svc.register(core_shards["north"])
+        batch = scans(kaide_smoke, 8, 72)
+        seen = []
+        original = shard.locate
+
+        def spying_locate(queries):
+            seen.append(queries)
+            return original(queries)
+
+        shard.locate = spying_locate
+        try:
+            svc.query_batch(["north"] * 8, batch)
+        finally:
+            del shard.locate
+        assert len(seen) == 1
+        assert np.shares_memory(seen[0], batch)
+
+    @pytest.mark.parametrize("form", ["ndarray", "list"])
+    def test_shard_key_rows_share_the_venue(self, kaide_smoke, form):
+        svc = PositioningService(cache_size=64)
+        svc.deploy(
+            "kaide",
+            kaide_smoke.radio_map,
+            MAROnlyDifferentiator(),
+            estimator=KNNEstimator(),
+        )
+        batch = scans(kaide_smoke, 4, 73)
+        expected = svc.shard("kaide").locate(batch)
+        venues = ["kaide", ShardKey("kaide"), ShardKey("kaide"), "kaide"]
+        fingerprints = batch if form == "ndarray" else list(batch)
+        out = svc.query_batch(venues, fingerprints)
+        np.testing.assert_array_equal(out, expected)
+        assert svc.stats.per_venue == {"kaide": 4}
+        assert svc.stats.cache_misses == 4
+        again = svc.query_batch(venues, fingerprints)
+        np.testing.assert_array_equal(again, expected)
+        assert svc.stats.cache_hits == 4
+        assert svc.stats.per_venue == {"kaide": 8}
+        assert {k[0] for k in svc._cache} == {"kaide"}
 
 
 @pytest.mark.slow
