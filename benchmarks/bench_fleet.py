@@ -84,11 +84,3 @@ def test_fleet_throughput(benchmark, bench_config, results_dir):
         w["requests"] > 0 for w in data["fleet"]["per_worker"]
     )
     assert data["fleet"]["respawns"] == 0
-
-    # Kernel attribution is reported per worker and fleet-wide (the
-    # 500-venue pool's shards serve brute force below the index
-    # threshold, so the value may legitimately be zero — the field
-    # must simply exist and stay a sane fraction).
-    assert 0.0 <= data["fleet"]["kernel_utilization"] <= 1.0
-    for w in data["fleet"]["per_worker"]:
-        assert 0.0 <= w["kernel_utilization"] <= 1.0

@@ -3,14 +3,15 @@
 The serving stack's observability backbone.  Three pieces:
 
 * :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of named
-  counters, gauges and fixed-bucket streaming histograms with
-  lock-cheap per-thread accumulation; the six legacy stats
-  dataclasses (``ServiceStats``, ``RegistryStats``, ``WorkerStats``,
-  ``FleetStats``, ``TrackingStats``, ``KernelStats``) are thin views
-  over these metrics.
+  counters, gauges and fixed-bucket streaming histograms, each a
+  plain value under its own lock; the legacy stats dataclasses
+  (``ServiceStats``, ``RegistryStats``, ``WorkerStats``,
+  ``FleetStats``, ``TrackingStats``) are thin views over these
+  metrics.
 * :mod:`~repro.obs.trace` — sampled per-request :class:`Span` trees
   threaded from pipeline submit down to the spatial-index kernel
-  stages, plus a slow-query log.
+  stages (which time themselves into :func:`current_span`), plus a
+  slow-query log.
 * :mod:`~repro.obs.export` — JSON and Prometheus text renderers over
   registry snapshots, used by ``python -m repro obs`` and
   ``serve-bench --telemetry``.
@@ -30,7 +31,7 @@ from .metrics import (
     MetricsRegistry,
     histogram_quantile,
 )
-from .trace import Span, Tracer
+from .trace import Span, Tracer, current_span
 from .telemetry import Telemetry
 from .export import parse_prometheus, render_json, render_prometheus
 from .quantiles import histogram_percentiles_ms, percentiles_ms
@@ -45,6 +46,7 @@ __all__ = [
     "histogram_quantile",
     "Span",
     "Tracer",
+    "current_span",
     "Telemetry",
     "parse_prometheus",
     "render_json",

@@ -13,19 +13,23 @@ The Prometheus rendering follows the text exposition format:
 * histograms → cumulative ``_bucket{le="…"}`` series plus ``_sum``
   and ``_count``, with the overflow bucket as ``le="+Inf"``.
 
-Metric names are sanitised (``.`` → ``_``); a minimal
-:func:`parse_prometheus` validates the output line-by-line so CI can
-assert the export parses without a prometheus client dependency.
+Every label set of one metric family is emitted as one contiguous
+group under a single ``# TYPE`` line, and label values are escaped
+(``\\\\``, ``\\"``, ``\\n``) as the format requires.  Metric names are
+sanitised (``.`` → ``_``); a minimal :func:`parse_prometheus`
+validates the output line-by-line — including duplicate ``# TYPE``
+lines and unescaped quotes in label values — so CI can assert the
+export parses without a prometheus client dependency.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..exceptions import ObservabilityError
-from .metrics import parse_key
+from .metrics import escape_label_value, parse_key
 
 __all__ = [
     "render_json",
@@ -35,11 +39,20 @@ __all__ = [
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
+#: One ``label="value"`` pair: only ``\\``, ``\"`` and ``\n`` may be
+#: escaped, and a bare quote ends the value.
+_LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+
 #: ``name{labels} value`` — the only sample shape we emit.
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(\{[^{}]*\})?"
+    rf"(\{{(?:{_LABEL}(?:,{_LABEL})*)?\}})?"
     r" ([0-9eE+.\-]+|[+-]?Inf|NaN)$"
+)
+
+_TYPE = re.compile(
+    r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) "
+    r"(counter|gauge|histogram|summary|untyped)$"
 )
 
 
@@ -49,7 +62,7 @@ def _prom_name(name: str, prefix: str = "repro") -> str:
 
 def _prom_labels(labels: Dict[str, str], extra: str = "") -> str:
     parts = [
-        f'{_NAME_OK.sub("_", k)}="{v}"'
+        f'{_NAME_OK.sub("_", k)}="{escape_label_value(v)}"'
         for k, v in sorted(labels.items())
     ]
     if extra:
@@ -70,27 +83,27 @@ def render_prometheus(snapshot: Dict) -> str:
     """
     if "metrics" in snapshot and "counters" not in snapshot:
         snapshot = snapshot["metrics"]
-    lines: List[str] = []
+    # family name -> (type, sample lines), in first-seen order
+    families: Dict[str, Tuple[str, List[str]]] = {}
 
-    for key in sorted(snapshot.get("counters", {})):
-        value = snapshot["counters"][key]
-        name, labels = parse_key(key)
-        pname = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname}{_prom_labels(labels)} {value}")
+    def family(pname: str, kind: str) -> List[str]:
+        return families.setdefault(pname, (kind, []))[1]
 
-    for key in sorted(snapshot.get("gauges", {})):
-        value = snapshot["gauges"][key]
+    for section, kind, suffix in (
+        ("counters", "counter", "_total"),
+        ("gauges", "gauge", ""),
+    ):
+        for key, value in sorted(snapshot.get(section, {}).items()):
+            name, labels = parse_key(key)
+            pname = _prom_name(name) + suffix
+            family(pname, kind).append(
+                f"{pname}{_prom_labels(labels)} {value}"
+            )
+
+    for key, payload in sorted(snapshot.get("histograms", {}).items()):
         name, labels = parse_key(key)
         pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname}{_prom_labels(labels)} {value}")
-
-    for key in sorted(snapshot.get("histograms", {})):
-        payload = snapshot["histograms"][key]
-        name, labels = parse_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} histogram")
+        lines = family(pname, "histogram")
         cum = 0
         for bound, count in zip(payload["bounds"], payload["counts"]):
             cum += int(count)
@@ -103,7 +116,11 @@ def render_prometheus(snapshot: Dict) -> str:
         lines.append(f"{pname}_sum{lab} {payload['total']}")
         lines.append(f"{pname}_count{lab} {cum}")
 
-    return "\n".join(lines) + "\n"
+    out: List[str] = []
+    for pname, (kind, lines) in families.items():
+        out.append(f"# TYPE {pname} {kind}")
+        out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 def parse_prometheus(text: str) -> List[Tuple[str, str, float]]:
@@ -111,12 +128,28 @@ def parse_prometheus(text: str) -> List[Tuple[str, str, float]]:
     ``(name, labels_text, value)`` samples.
 
     Raises :class:`~repro.exceptions.ObservabilityError` on any line
-    that is neither a comment nor a well-formed sample — the CI
-    smoke's "does the export parse" assert.
+    that is neither a comment nor a well-formed sample, on a label
+    value with an unescaped quote, and on a second ``# TYPE`` line for
+    one metric name — the CI smoke's "does the export parse" assert.
     """
     samples: List[Tuple[str, str, float]] = []
+    typed: Set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
+        if line.startswith("# TYPE "):
+            m = _TYPE.match(line)
+            if m is None:
+                raise ObservabilityError(
+                    f"prometheus line {lineno} is a malformed TYPE "
+                    f"line: {line!r}"
+                )
+            if m.group(1) in typed:
+                raise ObservabilityError(
+                    f"prometheus line {lineno} repeats the TYPE of "
+                    f"{m.group(1)!r}"
+                )
+            typed.add(m.group(1))
+            continue
         if not line or line.startswith("#"):
             continue
         m = _SAMPLE.match(line)

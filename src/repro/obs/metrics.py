@@ -8,35 +8,35 @@ legacy dataclasses can become thin *views* over one shared
 :class:`MetricsRegistry` — and so live latency distributions exist on
 the server, not just in the offline load generator.
 
-Write-path design (the part that must stay off the profile):
+Every metric is a plain value under its own lock: a counter holds one
+float, a histogram one bucket-count array plus a value total.  A write
+is one uncontended lock round (a few hundred nanoseconds — the service
+publishes a handful per batch), a read is exact, and the memory a
+metric holds does not grow with the number of threads that ever wrote
+to it.  A histogram's count is *derived* from its bucket counts
+(``counts.sum()``), so "sum of buckets == records observed" holds by
+construction in every snapshot.
 
-* :class:`Counter` and :class:`Histogram` accumulate into
-  **per-thread cells** — plain objects owned by exactly one writer
-  thread, appended to the metric's cell list (under the registry
-  lock) only on each thread's first touch.  The hot ``add``/``record``
-  is then an unsynchronised read-modify-write of thread-private state:
-  no lock, no contention, no false sharing.
-* Readers merge the cells.  A merge can miss a write that is still
-  in flight (the value is *stale*, bounded by one increment) but can
-  never observe a torn multi-field invariant **within** one metric:
-  a histogram's count is *derived* from its bucket counts
-  (``counts.sum()``), so "sum of buckets == records observed" holds
-  by construction in every snapshot.
-* Cross-**metric** atomicity (e.g. ``queries == hits + misses``) is
-  the caller's contract, exactly as before: services mutate their
-  counters under their existing service lock and build their stats
-  view under that same lock.  The registry does not impose a global
-  ordering it cannot cheaply provide.
+Cross-**metric** atomicity (e.g. ``queries == hits + misses``) is the
+caller's contract: services mutate their counters under their existing
+service lock and build their stats view under that same lock.  The
+registry does not impose a global ordering it cannot cheaply provide.
 
-``reset()`` and ``drain()`` are watermark-based: cells are never
-zeroed from a foreign thread (that would race the owner's
-read-modify-write); instead the metric records the merged value at
-reset/drain time and subtracts it.  Handles stay valid across resets.
+``reset()`` zeroes a metric in place, so handles stay valid across
+resets; ``drain()`` returns what accumulated since the previous drain
+against one watermark, leaving the cumulative value untouched.
+
+Metric keys render labels the way the Prometheus text format does
+(``name{k="v",…}``, with ``\\``, ``"`` and newlines escaped in values),
+so any label value — a venue called ``mall, "north"`` included —
+survives a fleet worker's drain and the parent's merge.
 """
 
 from __future__ import annotations
 
+import re
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -65,123 +65,104 @@ LATENCY_BUCKETS = tuple(
 #: Multiplicative width of one latency bucket.
 BUCKET_FACTOR = float(10.0 ** (1.0 / 8.0))
 
+#: One ``key="value"`` pair of a rendered key; the value may hold any
+#: character, with ``\\`` and ``"`` escaped by a backslash.
+_LABEL_PAIR = re.compile(r'([^=,"]+)="((?:[^"\\]|\\.)*)"')
+
+_UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def escape_label_value(value: str) -> str:
+    """Escape ``\\``, ``"`` and newline as the Prometheus text format
+    does inside a quoted label value."""
+    return (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
+def _unescape_label_value(value: str) -> str:
+    return _UNESCAPE.sub(
+        lambda m: "\n" if m.group(1) == "n" else m.group(1), value
+    )
+
 
 def render_key(name: str, labels: Dict[str, str]) -> str:
     """``name{k="v",…}`` with sorted label keys — the registry key."""
     if not labels:
         return name
     inner = ",".join(
-        f'{k}="{labels[k]}"' for k in sorted(labels)
+        f'{k}="{escape_label_value(str(labels[k]))}"'
+        for k in sorted(labels)
     )
     return f"{name}{{{inner}}}"
 
 
 def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Invert :func:`render_key` (labels must not contain ``","``)."""
-    if "{" not in key:
+    """Invert :func:`render_key`."""
+    name, brace, inner = key.partition("{")
+    if not brace:
         return key, {}
-    name, _, rest = key.partition("{")
+    if not inner.endswith("}"):
+        raise ObservabilityError(f"malformed metric key {key!r}")
+    inner = inner[:-1]
     labels: Dict[str, str] = {}
-    for pair in rest.rstrip("}").split(","):
-        if not pair:
-            continue
-        k, _, v = pair.partition("=")
-        labels[k] = v.strip('"')
+    pos = 0
+    while pos < len(inner):
+        m = _LABEL_PAIR.match(inner, pos)
+        end = m.end() if m is not None else -1
+        if m is None or (end < len(inner) and inner[end] != ","):
+            raise ObservabilityError(f"malformed metric key {key!r}")
+        labels[m.group(1)] = _unescape_label_value(m.group(2))
+        pos = end + 1
     return name, labels
 
 
-class _CounterCell:
-    """One thread's private accumulator for one counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-
-class _HistogramCell:
-    """One thread's private bucket counts + value sum."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.total = 0.0
-
-
 class Counter:
-    """Monotone sum with per-thread accumulation cells.
+    """Monotone sum under a lock.  Created via
+    :meth:`MetricsRegistry.counter`."""
 
-    ``add`` is wait-free after a thread's first touch; ``value``
-    merges the cells (stale by at most the writes still in flight,
-    never torn below the float level).  Created via
-    :meth:`MetricsRegistry.counter`.
-    """
+    __slots__ = ("name", "labels", "_lock", "_value", "_drained")
 
-    __slots__ = (
-        "name", "labels", "_lock", "_tls", "_cells",
-        "_offset", "_drained",
-    )
-
-    def __init__(
-        self, name: str, labels: Dict[str, str], lock: threading.RLock
-    ) -> None:
+    def __init__(self, name: str, labels: Dict[str, str]) -> None:
         self.name = name
         self.labels = dict(labels)
-        self._lock = lock
-        self._tls = threading.local()
-        self._cells: List[_CounterCell] = []
-        self._offset = 0.0   # merged value at last reset()
-        self._drained = 0.0  # merged value at last drain()
+        self._lock = threading.Lock()
+        self._value = 0.0
+        self._drained = 0.0  # value at the last drain()
 
     def add(self, n: float = 1.0) -> None:
-        tls = self._tls
-        cell = getattr(tls, "cell", None)
-        if cell is None:
-            cell = _CounterCell()
-            with self._lock:
-                self._cells.append(cell)
-            tls.cell = cell
-        cell.value += n
-
-    def _raw(self) -> float:
-        return sum(cell.value for cell in self._cells)
+        with self._lock:
+            self._value += n
 
     @property
     def value(self) -> float:
         with self._lock:
-            return self._raw() - self._offset
+            return self._value
 
     def reset(self) -> None:
         with self._lock:
-            raw = self._raw()
-            self._offset = raw
-            self._drained = raw
+            self._value = 0.0
+            self._drained = 0.0
 
     def drain(self) -> float:
         """Value accumulated since the last drain (for delta export)."""
         with self._lock:
-            raw = self._raw()
-            delta = raw - self._drained
-            self._drained = raw
+            delta = self._value - self._drained
+            self._drained = self._value
             return delta
 
 
 class Gauge:
-    """A point-in-time value (bytes resident, venues known, …).
-
-    Gauge updates are rare (load/evict events, snapshot syncs), so
-    they simply take the registry lock — no cell machinery.
-    """
+    """A point-in-time value (bytes resident, venues known, …)."""
 
     __slots__ = ("name", "labels", "_lock", "_value")
 
-    def __init__(
-        self, name: str, labels: Dict[str, str], lock: threading.RLock
-    ) -> None:
+    def __init__(self, name: str, labels: Dict[str, str]) -> None:
         self.name = name
         self.labels = dict(labels)
-        self._lock = lock
+        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -211,35 +192,29 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket streaming histogram with per-thread cells.
+    """Fixed-bucket streaming histogram under a lock.
 
     ``bounds`` are ascending bucket *upper* edges; a value ``v`` lands
     in the first bucket with ``v <= bound`` (one trailing overflow
-    bucket catches the rest), so ``record`` is one ``searchsorted``
-    plus two thread-private increments.  ``count`` is derived from the
-    bucket counts, so no snapshot can ever show a count that
-    disagrees with its buckets.
+    bucket catches the rest), so ``record`` is one bisection plus two
+    increments.  ``count`` is derived from the bucket counts, so no
+    snapshot can ever show a count that disagrees with its buckets.
     """
 
     __slots__ = (
-        "name", "labels", "_lock", "_tls", "_cells",
-        "_bounds", "_nb",
-        "_offset_counts", "_offset_total",
-        "_drained_counts", "_drained_total",
+        "name", "labels", "_lock", "_bounds", "_edges", "_nb",
+        "_counts", "_total", "_drained_counts", "_drained_total",
     )
 
     def __init__(
         self,
         name: str,
         labels: Dict[str, str],
-        lock: threading.RLock,
         bounds: Iterable[float],
     ) -> None:
         self.name = name
         self.labels = dict(labels)
-        self._lock = lock
-        self._tls = threading.local()
-        self._cells: List[_HistogramCell] = []
+        self._lock = threading.Lock()
         self._bounds = np.asarray(tuple(bounds), dtype=np.float64)
         if self._bounds.ndim != 1 or self._bounds.size == 0:
             raise ObservabilityError(
@@ -251,9 +226,11 @@ class Histogram:
                 f"histogram {name!r}: bounds must be strictly "
                 "increasing"
             )
+        self._edges = tuple(self._bounds.tolist())
         self._nb = self._bounds.size + 1  # + overflow bucket
-        self._offset_counts = np.zeros(self._nb, dtype=np.int64)
-        self._offset_total = 0.0
+        self._counts = np.zeros(self._nb, dtype=np.int64)
+        self._total = 0.0
+        # What the last drain() shipped.
         self._drained_counts = np.zeros(self._nb, dtype=np.int64)
         self._drained_total = 0.0
 
@@ -261,53 +238,34 @@ class Histogram:
     def bounds(self) -> np.ndarray:
         return self._bounds.copy()
 
-    def _cell(self) -> _HistogramCell:
-        tls = self._tls
-        cell = getattr(tls, "cell", None)
-        if cell is None:
-            cell = _HistogramCell(self._nb)
-            with self._lock:
-                self._cells.append(cell)
-            tls.cell = cell
-        return cell
-
     def record(self, value: float) -> None:
-        cell = self._cell()
-        idx = int(self._bounds.searchsorted(value, side="left"))
-        cell.counts[idx] += 1
-        cell.total += value
+        self.record_n(value, 1)
 
     def record_n(self, value: float, n: int) -> None:
         """``n`` observations of the same value in one bump — for
         batch paths where every request in the batch saw the same
         wall-clock latency."""
-        cell = self._cell()
-        idx = int(self._bounds.searchsorted(value, side="left"))
-        cell.counts[idx] += n
-        cell.total += value * n
+        # Same bucket as ``searchsorted(side="left")`` for any non-NaN
+        # value, at a fraction of a scalar numpy call's cost.
+        idx = bisect_left(self._edges, value)
+        with self._lock:
+            self._counts[idx] += n
+            self._total += value * n
 
     def record_many(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
-        cell = self._cell()
-        idx = self._bounds.searchsorted(values, side="left")
-        np.add.at(cell.counts, idx, 1)
-        cell.total += float(values.sum())
-
-    def _raw(self) -> Tuple[np.ndarray, float]:
-        counts = np.zeros(self._nb, dtype=np.int64)
-        total = 0.0
-        for cell in self._cells:
-            counts += cell.counts
-            total += cell.total
-        return counts, total
+        binned = np.bincount(
+            self._bounds.searchsorted(values, side="left"),
+            minlength=self._nb,
+        )
+        self.merge_counts(binned, float(values.sum()))
 
     @property
     def counts(self) -> np.ndarray:
         with self._lock:
-            counts, _ = self._raw()
-            return counts - self._offset_counts
+            return self._counts.copy()
 
     @property
     def count(self) -> int:
@@ -316,8 +274,7 @@ class Histogram:
     @property
     def total(self) -> float:
         with self._lock:
-            _, total = self._raw()
-            return total - self._offset_total
+            return self._total
 
     def quantile(self, q: float) -> float:
         """Upper edge of the bucket holding the ``q``-quantile
@@ -326,50 +283,49 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            counts, total = self._raw()
-            self._offset_counts = counts
-            self._offset_total = total
-            self._drained_counts = counts.copy()
-            self._drained_total = total
+            self._counts[:] = 0
+            self._total = 0.0
+            self._drained_counts[:] = 0
+            self._drained_total = 0.0
 
     def drain(self) -> Optional[Dict[str, object]]:
         """Bucket-count delta since the last drain, or ``None`` if
         nothing was recorded in the interval."""
         with self._lock:
-            counts, total = self._raw()
-            delta = counts - self._drained_counts
-            dtotal = total - self._drained_total
-            self._drained_counts = counts
-            self._drained_total = total
-            if not delta.any():
-                return None
-            return {
-                "bounds": self._bounds.tolist(),
-                "counts": delta.tolist(),
-                "total": float(dtotal),
-            }
+            delta = self._counts - self._drained_counts
+            dtotal = self._total - self._drained_total
+            self._drained_counts[:] = self._counts
+            self._drained_total = self._total
+        if not delta.any():
+            return None
+        return {
+            "bounds": self._bounds.tolist(),
+            "counts": delta.tolist(),
+            "total": float(dtotal),
+        }
 
     def merge_counts(self, counts: np.ndarray, total: float) -> None:
         """Fold a drained delta from another registry (e.g. a fleet
-        worker) into the calling thread's cell."""
+        worker) into this histogram."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.size != self._nb:
             raise ObservabilityError(
                 f"histogram {self.name!r}: cannot merge "
                 f"{counts.size} buckets into {self._nb}"
             )
-        cell = self._cell()
-        cell.counts += counts
-        cell.total += float(total)
+        with self._lock:
+            self._counts += counts
+            self._total += float(total)
 
     def snapshot_dict(self) -> Dict[str, object]:
         with self._lock:
-            counts, total = self._raw()
-            return {
-                "bounds": self._bounds.tolist(),
-                "counts": (counts - self._offset_counts).tolist(),
-                "total": float(total - self._offset_total),
-            }
+            counts = self._counts.tolist()
+            total = self._total
+        return {
+            "bounds": self._bounds.tolist(),
+            "counts": counts,
+            "total": float(total),
+        }
 
 
 def histogram_quantile(
@@ -405,19 +361,15 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
-
-    @property
-    def lock(self) -> threading.RLock:
-        return self._lock
 
     def _get(self, cls, name: str, labels: Dict[str, str], **kw):
         key = render_key(name, labels)
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(name, labels, self._lock, **kw)
+                metric = cls(name, labels, **kw)
                 self._metrics[key] = metric
             elif not isinstance(metric, cls):
                 raise ObservabilityError(

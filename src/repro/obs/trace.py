@@ -3,9 +3,11 @@
 A :class:`Span` is one timed stage of one request — trace id, stage
 name, start, duration, child spans.  The serving layers thread spans
 through the request path (``ServingPipeline.submit`` →
-``PositioningService.query_batch`` → ``VenueShard.locate`` → the
-spatial-index kernel stages timed by ``KERNEL_STATS``), so a retained
-trace answers "where did this query spend its time" stage by stage.
+``PositioningService.query_batch`` → ``VenueShard.locate`` →
+``SpatialIndex.query``), so a retained trace answers "where did this
+query spend its time" stage by stage, down to the five spatial-index
+kernel stages (``kernel.probe/select/bound/gemm/finish``) of the batch
+that ran them.
 
 Tracing every request would cost more than it tells, so the
 :class:`Tracer` samples **deterministically**: one trace in every
@@ -18,22 +20,28 @@ Finished root spans land in two bounded deques: recent traces
 duration crossed ``slow_ms`` — the full span tree is kept, so a slow
 query's breakdown survives until an operator exports it.
 
-The active span is tracked per thread; :meth:`Tracer.activate` hands
-a span across threads (the pipeline's submit thread opens the root,
-the flusher thread serves under it).  Fleet workers drain finished
-spans as plain dicts (:meth:`Tracer.drain`) and ship them over their
-pipes next to the metric deltas.
+The active span lives in one module-level ``ContextVar``, read by
+:func:`current_span`.  Each thread starts with none, so concurrent
+batches never see each other's spans, and code below the serving layer
+(the spatial-index kernel) times its stages into whatever batch runs
+it without being handed a tracer.
+:meth:`Tracer.activate` hands a span across threads (the pipeline's
+submit thread opens the root, the flusher thread serves under it).
+Fleet workers drain finished spans as plain dicts
+(:meth:`Tracer.drain`) and ship them over their pipes next to the
+metric deltas.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
-from threading import RLock, local
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
+from threading import RLock
 from typing import Dict, Iterator, List, Optional, Set
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "Tracer", "current_span"]
 
 
 class Span:
@@ -71,8 +79,8 @@ class Span:
         meta: Optional[Dict[str, object]] = None,
     ) -> "Span":
         """Attach and return a pre-timed child (for stages whose
-        duration is known only after the fact, like kernel stages
-        reconstructed from ``KERNEL_STATS`` deltas)."""
+        duration is known only after the fact, like the kernel stages
+        ``SpatialIndex.query`` times with bare clock reads)."""
         span = Span(self.trace_id, name, start=self.start, meta=meta)
         span.duration = duration
         self.children.append(span)
@@ -108,15 +116,31 @@ class Span:
         return "\n".join(lines)
 
 
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
+#: The calling context's active span (``None`` outside any trace).
+_ACTIVE: "ContextVar[Optional[Span]]" = ContextVar(
+    "repro_active_span", default=None
+)
 
 
-_NULL = _NullContext()
+def current_span() -> Optional[Span]:
+    """The active span of the calling thread, or ``None``."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def _child_span(
+    parent: Span, name: str, meta: Optional[Dict[str, object]]
+) -> Iterator[Span]:
+    child = Span(
+        parent.trace_id, name, start=time.perf_counter(), meta=meta
+    )
+    parent.children.append(child)
+    token = _ACTIVE.set(child)
+    try:
+        yield child
+    finally:
+        child.duration = time.perf_counter() - child.start
+        _ACTIVE.reset(token)
 
 
 class Tracer:
@@ -133,7 +157,6 @@ class Tracer:
         self.sample_every = int(sample_every)
         self.slow_ms = slow_ms
         self._lock = RLock()
-        self._tls = local()
         self._decisions = 0
         self._seq = 0
         self._traces: deque = deque(maxlen=keep)
@@ -180,21 +203,17 @@ class Tracer:
     # -- active-span threading -------------------------------------
 
     def current(self) -> Optional[Span]:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
+        return _ACTIVE.get()
 
     @contextmanager
     def activate(self, span: Span) -> Iterator[Span]:
         """Make ``span`` the calling thread's active span — the
         cross-thread handoff (submit thread opens, flusher serves)."""
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        stack.append(span)
+        token = _ACTIVE.set(span)
         try:
             yield span
         finally:
-            stack.pop()
+            _ACTIVE.reset(token)
 
     @contextmanager
     def trace(
@@ -213,29 +232,10 @@ class Tracer:
     ):
         """Context manager for a child of the current active span;
         a no-op (yielding ``None``) when no span is active."""
-        if self.current() is None:
-            return _NULL
-        return self._child_span(name, meta)
-
-    @contextmanager
-    def _child_span(
-        self, name: str, meta: Optional[Dict[str, object]]
-    ) -> Iterator[Span]:
-        parent = self.current()
-        child = Span(
-            parent.trace_id,
-            name,
-            start=time.perf_counter(),
-            meta=meta,
-        )
-        parent.children.append(child)
-        stack = self._tls.stack
-        stack.append(child)
-        try:
-            yield child
-        finally:
-            child.duration = time.perf_counter() - child.start
-            stack.pop()
+        parent = _ACTIVE.get()
+        if parent is None:
+            return nullcontext()
+        return _child_span(parent, name, meta)
 
     # -- retention accessors ---------------------------------------
 

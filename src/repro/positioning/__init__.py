@@ -15,7 +15,6 @@ from .base import (
 )
 from .index import (
     INDEX_MIN_RECORDS,
-    KERNEL_STATS,
     SpatialIndex,
     canonical_k_smallest,
 )
@@ -32,7 +31,6 @@ from .tree import RegressionTree
 __all__ = [
     "ESTIMATOR_KINDS",
     "INDEX_MIN_RECORDS",
-    "KERNEL_STATS",
     "KNNEstimator",
     "SpatialIndex",
     "canonical_k_smallest",

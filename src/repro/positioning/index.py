@@ -39,18 +39,16 @@ most of the map changed).
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import PositioningError
+from ..obs.trace import current_span
 
 __all__ = [
     "INDEX_MIN_RECORDS",
-    "KERNEL_STATS",
-    "KernelStats",
     "SpatialIndex",
     "canonical_k_smallest",
     "pair_exact_sq_dists",
@@ -106,97 +104,6 @@ _FINISH_CHUNK = 1 << 14
 #: one query with a huge pool would otherwise pad every row to its
 #: width (the ``(b, width)`` blow-up).
 _DENSE_SELECT_CAP = 1 << 20
-
-
-class KernelStats:
-    """Per-process accumulator of query-kernel stage timings.
-
-    Disabled by default (the hot path pays nothing but a flag check);
-    the serve benchmark and fleet workers enable it to attribute
-    serve time to the indexed query kernel.  ``snapshot()`` returns plain
-    floats (seconds / counts) so the numbers survive a pickle across
-    the fleet's worker pipes.
-    """
-
-    _FIELDS = (
-        "probe_s",      # stage 1b: banded probe-pool GEMMs + extraction
-        "select_s",     # pooled k-th + final canonical selection
-        "bound_s",      # stage 1a/2a: centroid + box bucket bounds
-        "gemm_s",       # stage 2: banded block-filter GEMMs + compaction
-        "finish_s",     # stage 3: exact f64 per-pair re-evaluation
-    )
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self._FIELDS:
-                setattr(self, name, 0.0)
-            self.candidates = 0
-            self.gemm_rows = 0
-            self.queries = 0
-            self.calls = 0
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def add(self, stages: Dict[str, float], candidates: int,
-            gemm_rows: int, queries: int) -> None:
-        with self._lock:
-            for name, value in stages.items():
-                setattr(self, name, getattr(self, name) + value)
-            self.candidates += candidates
-            self.gemm_rows += gemm_rows
-            self.queries += queries
-            self.calls += 1
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total wall-clock spent inside the query kernel."""
-        return sum(getattr(self, name) for name in self._FIELDS)
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            out = {name: getattr(self, name) for name in self._FIELDS}
-            out.update(
-                busy_s=sum(out.values()),
-                candidates=float(self.candidates),
-                gemm_rows=float(self.gemm_rows),
-                queries=float(self.queries),
-                calls=float(self.calls),
-            )
-            return out
-
-    def to_metrics(self, metrics, prefix: str = "kernel") -> None:
-        """Sync this accumulator into an obs
-        :class:`~repro.obs.MetricsRegistry` as counters.
-
-        Idempotent: each counter is topped up by the difference
-        between the current snapshot and its present value, so
-        repeated syncs (the fleet workers call this every tick, the
-        bench once per section) never double-count.  This is how the
-        legacy per-process accumulator joins the unified registry
-        without touching its lock-per-``add`` hot path.
-        """
-        snap = self.snapshot()
-        for stage in self._FIELDS:
-            counter = metrics.counter(f"{prefix}.{stage[:-2]}_seconds")
-            counter.add(snap[stage] - counter.value)
-        counter = metrics.counter(f"{prefix}.busy_seconds")
-        counter.add(snap["busy_s"] - counter.value)
-        for name in ("candidates", "gemm_rows", "queries", "calls"):
-            counter = metrics.counter(f"{prefix}.{name}")
-            counter.add(snap[name] - counter.value)
-
-
-#: Module singleton read by the serve bench and the fleet workers.
-KERNEL_STATS = KernelStats()
 
 
 def _ramp(lens: np.ndarray) -> np.ndarray:
@@ -638,9 +545,10 @@ class SpatialIndex:
             (cum < k).sum(axis=1) + 1, self.n_buckets
         )
 
-        stats = KERNEL_STATS
-        timed = stats.enabled
-        tick = time.perf_counter if timed else (lambda: 0.0)
+        # Inside a traced batch the five stages become ``kernel.*``
+        # children of the active span; otherwise nothing is timed.
+        span = current_span()
+        tick = time.perf_counter if span is not None else (lambda: 0.0)
         qf32 = qfull2.astype(np.float32)
         # Extended query rows [-2*C_q, qf, 1]: one GEMM against the
         # extended reference rows [C_r, 1, c2] evaluates the full f32
@@ -802,19 +710,19 @@ class SpatialIndex:
             qi, ri = qi[keep], ri[keep]
 
         out = select_k_nearest(q, self._fp, k, qi, self._order[ri])
-        if timed:
+        if span is not None:
             t5 = time.perf_counter()
-            stats.add(
-                {
-                    "probe_s": t1 - t0,
-                    "select_s": t2 - t1,
-                    "bound_s": t3 - t2,
-                    "gemm_s": t4 - t3,
-                    "finish_s": t5 - t4,
+            span.child("kernel.probe", duration=t1 - t0)
+            span.child("kernel.select", duration=t2 - t1)
+            span.child("kernel.bound", duration=t3 - t2)
+            span.child("kernel.gemm", duration=t4 - t3)
+            span.child(
+                "kernel.finish",
+                duration=t5 - t4,
+                meta={
+                    "candidates": int(qi.size),
+                    "gemm_rows": int(gemm_rows),
                 },
-                candidates=int(qi.size),
-                gemm_rows=int(gemm_rows),
-                queries=b,
             )
         return out
 

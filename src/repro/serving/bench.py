@@ -23,10 +23,10 @@ Two sections cover this PR's index-bound serving work:
   in ``spatial_index`` mode; reports brute/indexed throughput, their
   speedup, and the max-abs parity between the two answers (both paths
   are exact, so this must be 0).  The indexed side additionally
-  attributes one instrumented batch to its kernel stages
-  (probe/select/bound/gemm/finish, via
-  :data:`~repro.positioning.index.KERNEL_STATS`); the stage
-  breakdown lands in the result data as ``kernel_stages``.
+  serves one fully traced batch and sums the ``kernel.*`` children of
+  its span tree (probe/select/bound/gemm/finish, plus the candidate
+  and GEMM-row counts they carry); the stage breakdown lands in the
+  result data as ``kernel_stages``.
   ``--no-spatial-index`` skips the indexed side so CI can A/B the two
   CLI runs.
 * **precompute** — the kaide venue with a trained BiSIM, served once
@@ -53,8 +53,8 @@ from ..core import TopoACDifferentiator
 from ..experiments.base import ExperimentResult
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import get_dataset
-from ..obs import Telemetry, render_prometheus
-from ..positioning import KERNEL_STATS, WKNNEstimator
+from ..obs import Span, Telemetry, Tracer, render_prometheus
+from ..positioning import WKNNEstimator
 from .completion import EncoderCompletion
 from .loadgen import scan_pool
 from .service import PositioningService, VenueShard
@@ -66,6 +66,9 @@ BATCH_SIZES = (1, 64, 256)
 FLEET_RECORDS = 81920
 FLEET_APS = 96
 
+#: The spatial-index kernel's stages, as ``kernel.<stage>`` spans.
+KERNEL_STAGES = ("probe", "select", "bound", "gemm", "finish")
+
 
 def _best_of(fn: Callable[[], None], rounds: int) -> float:
     best = np.inf
@@ -74,6 +77,27 @@ def _best_of(fn: Callable[[], None], rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _kernel_stages(root: Span) -> Dict[str, float]:
+    """Sum a traced batch's ``kernel.*`` spans: per-stage and total
+    milliseconds, plus the candidate and GEMM-row counts in their
+    meta."""
+    ms = dict.fromkeys(KERNEL_STAGES, 0.0)
+    counts = {"candidates": 0.0, "gemm_rows": 0.0}
+    pending = [root]
+    while pending:
+        span = pending.pop()
+        pending.extend(span.children)
+        layer, _, stage = span.name.partition(".")
+        if layer == "kernel":
+            ms[stage] += 1e3 * span.duration
+            for field, value in (span.meta or {}).items():
+                counts[field] += value
+    out = {f"{stage}_ms": value for stage, value in ms.items()}
+    out["busy_ms"] = sum(ms.values())
+    out.update(counts)
+    return out
 
 
 def _synthetic_fleet_map(
@@ -141,7 +165,7 @@ def run(
     ``telemetry`` (``--telemetry``) appends the observability
     section: the fleet-scale service is re-run twice, interleaved —
     once plain, once with a :class:`~repro.obs.Telemetry` attached
-    (span sampling at 1-in-8 plus live kernel-stage accounting) — and
+    (registry metrics plus span sampling at 1-in-8) — and
     the throughput delta lands in ``telemetry_overhead_pct`` (the
     acceptance bar holds it under 3%).  A fully-traced batch then
     contributes the covered span stages, a Prometheus text export and
@@ -252,28 +276,12 @@ def run(
         fleet_speedup = indexed_qps / brute_qps
         fleet_parity = float(np.abs(indexed_out - brute_out).max())
 
-        # Stage attribution: one instrumented batch through the
-        # kernel (timing gates on the enabled flag, so the timed
-        # rounds above paid nothing for it).
-        fleet_keys = ["fleet"] * len(fleet_q)
-        KERNEL_STATS.reset()
-        KERNEL_STATS.enable()
-        try:
-            indexed_svc.query_batch(fleet_keys, fleet_q)
-        finally:
-            KERNEL_STATS.disable()
-        snap = KERNEL_STATS.snapshot()
-        KERNEL_STATS.reset()
-        kernel_stages = {
-            "probe_ms": 1e3 * snap["probe_s"],
-            "select_ms": 1e3 * snap["select_s"],
-            "bound_ms": 1e3 * snap["bound_s"],
-            "gemm_ms": 1e3 * snap["gemm_s"],
-            "finish_ms": 1e3 * snap["finish_s"],
-            "busy_ms": 1e3 * snap["busy_s"],
-            "candidates": snap["candidates"],
-            "gemm_rows": snap["gemm_rows"],
-        }
+        # Stage attribution: one fully traced batch (the kernel times
+        # its stages only under an active span, so the timed rounds
+        # above paid nothing for it).
+        with Tracer(sample_every=1).trace("kernel-stages") as root:
+            indexed_svc.query_batch(["fleet"] * len(fleet_q), fleet_q)
+        kernel_stages = _kernel_stages(root)
         lines.append(
             f"fleet scale (N={fleet_n}, D={FLEET_APS}, batch "
             f"{max(BATCH_SIZES)}): brute {brute_qps:.0f} q/s | "
@@ -356,23 +364,14 @@ def run(
         instr_svc.query_batch(fleet_keys, fleet_q)
         plain_s = instr_s = np.inf
         # Interleaved best-of, so both see the same thermal/turbo
-        # conditions.  The KERNEL_STATS toggle is part of the
-        # instrumented configuration (it is what prices the
-        # per-stage timers), so it flips around the instrumented
-        # rounds only.
+        # conditions.
         for _ in range(max(rounds, 5)):
             start = time.perf_counter()
             plain_svc.query_batch(fleet_keys, fleet_q)
             plain_s = min(plain_s, time.perf_counter() - start)
-            KERNEL_STATS.enable()
-            try:
-                start = time.perf_counter()
-                instr_svc.query_batch(fleet_keys, fleet_q)
-                instr_s = min(
-                    instr_s, time.perf_counter() - start
-                )
-            finally:
-                KERNEL_STATS.disable()
+            start = time.perf_counter()
+            instr_svc.query_batch(fleet_keys, fleet_q)
+            instr_s = min(instr_s, time.perf_counter() - start)
         telemetry_overhead_pct = 1e2 * (instr_s - plain_s) / plain_s
 
         # Span coverage: one fully-traced batch (sample_every=1)
@@ -384,14 +383,7 @@ def run(
             fleet_mode,
             telemetry=smoke_tel,
         )
-        KERNEL_STATS.reset()
-        KERNEL_STATS.enable()
-        try:
-            smoke_svc.query_batch(fleet_keys, fleet_q)
-        finally:
-            KERNEL_STATS.disable()
-        KERNEL_STATS.to_metrics(smoke_tel.metrics)
-        KERNEL_STATS.reset()
+        smoke_svc.query_batch(fleet_keys, fleet_q)
         span_stages: set = set()
         for root in smoke_tel.tracer.traces():
             span_stages |= root.stage_names()

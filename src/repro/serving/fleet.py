@@ -79,7 +79,6 @@ from ..artifacts import (
 )
 from ..exceptions import ArtifactError, ServingError
 from ..obs import MetricsRegistry, Telemetry, Tracer
-from ..positioning import KERNEL_STATS
 from .keys import ShardKey, coerce_key
 from .pipeline import Ticket, settle
 from .service import SHARD_KIND, PositioningService, VenueShard
@@ -469,14 +468,21 @@ class ShardRegistry:
 # ----------------------------------------------------------------------
 @dataclass
 class WorkerStats:
-    """One worker process's counters (fetched over the pipe)."""
+    """One worker process's counters (fetched over the pipe).
+
+    ``busy_seconds`` is the worker's whole serve time per tick.  How
+    that time splits across complete, estimate and the spatial-index
+    kernel stages is not a counter here: it is in the span trees the
+    worker samples when the fleet was given a telemetry bundle
+    (``ShardFleet(telemetry=…)``), each batch carrying its own
+    ``kernel.*`` stage children.
+    """
 
     worker: int
     requests: int = 0
     ticks: int = 0
     batches: int = 0
     busy_seconds: float = 0.0
-    kernel_busy_seconds: float = 0.0
     wall_seconds: float = 0.0
     venues_served: int = 0
     registry: RegistryStats = field(default_factory=RegistryStats)
@@ -489,21 +495,6 @@ class WorkerStats:
         return self.busy_seconds / self.wall_seconds
 
     @property
-    def kernel_utilization(self) -> float:
-        """Fraction of serve time spent inside the indexed kernel.
-
-        The worker enables :data:`~repro.positioning.index.
-        KERNEL_STATS` for its lifetime; this ratio attributes its
-        busy seconds to the indexed query kernel versus everything
-        else on the serve path (imputation, routing, bookkeeping).
-        Zero for fleets whose shards are small enough to serve brute
-        force — the kernel never runs there.
-        """
-        if self.busy_seconds <= 0:
-            return 0.0
-        return self.kernel_busy_seconds / self.busy_seconds
-
-    @property
     def mean_tick(self) -> float:
         """Mean requests served per tick (the batching win)."""
         return self.requests / self.ticks if self.ticks else 0.0
@@ -514,8 +505,7 @@ class WorkerStats:
             f"{self.ticks} ticks (mean {self.mean_tick:.1f}/tick, "
             f"{self.batches} venue batches, "
             f"{self.venues_served} venues) "
-            f"util={100 * self.utilization:.0f}% "
-            f"kernel={100 * self.kernel_utilization:.0f}% | "
+            f"util={100 * self.utilization:.0f}% | "
             f"{self.registry.render()}"
         )
 
@@ -570,18 +560,6 @@ class FleetStats:
     def resident_venues(self) -> int:
         return self._sum("resident_venues")
 
-    @property
-    def kernel_busy_seconds(self) -> float:
-        return sum(w.kernel_busy_seconds for w in self.workers)
-
-    @property
-    def kernel_utilization(self) -> float:
-        """Fleet-wide share of serve time inside the indexed kernel."""
-        busy = sum(w.busy_seconds for w in self.workers)
-        if busy <= 0:
-            return 0.0
-        return self.kernel_busy_seconds / busy
-
     def render(self) -> str:
         lines = [
             f"fleet: {self.requests} requests "
@@ -591,8 +569,7 @@ class FleetStats:
             f"loads={self.lazy_loads} (fast {self.fast_reloads}) "
             f"evictions={self.evictions} "
             f"resident={self.resident_venues} venues "
-            f"{(self.resident_bytes + self.mapped_bytes) / 1e6:.1f}MB "
-            f"kernel={100 * self.kernel_utilization:.0f}%"
+            f"{(self.resident_bytes + self.mapped_bytes) / 1e6:.1f}MB"
         ]
         for w in self.workers:
             lines.append("  " + w.render())
@@ -637,11 +614,6 @@ def _worker_main(
         if trace_sample_every > 0
         else None
     )
-    # Attribute this worker's serve time to the indexed query kernel
-    # (each worker is its own process, so the module singleton is
-    # private to it and the accumulation races with nobody).
-    KERNEL_STATS.reset()
-    KERNEL_STATS.enable()
     started = time.perf_counter()
     c_requests = metrics.counter("worker.requests")
     c_ticks = metrics.counter("worker.ticks")
@@ -656,16 +628,12 @@ def _worker_main(
             ticks=int(c_ticks.value),
             batches=int(c_batches.value),
             busy_seconds=c_busy.value,
-            kernel_busy_seconds=KERNEL_STATS.busy_seconds,
             wall_seconds=time.perf_counter() - started,
             venues_served=len(venues_served),
             registry=registry.stats,
         )
 
     def telemetry_payload() -> Dict[str, Any]:
-        # Top the kernel.* counters up to the KERNEL_STATS snapshot
-        # so the drained delta carries per-stage kernel seconds too.
-        KERNEL_STATS.to_metrics(metrics)
         payload: Dict[str, Any] = {
             "metrics": metrics.drain(
                 gauge_labels={"worker": str(worker_id)}
@@ -866,7 +834,10 @@ class ShardFleet:
         self._store_root = str(
             store.root if isinstance(store, ArtifactStore) else store
         )
-        self._mapping = dict(mapping)
+        self._mapping = {
+            venue if isinstance(venue, str) else coerce_key(venue): key
+            for venue, key in mapping.items()
+        }
         self.n_workers = int(workers)
         self._budget_mb = memory_budget_mb
         self._worker_budget_mb = (
@@ -1029,16 +1000,21 @@ class ShardFleet:
     def outstanding(self) -> int:
         return self._outstanding
 
-    def submit(self, venue: str, scan: np.ndarray) -> Ticket:
+    def submit(
+        self, venue: Union[str, ShardKey], scan: np.ndarray
+    ) -> Ticket:
         """Queue one raw scan for its owning worker; non-blocking.
 
         The bundle ships when it reaches ``bundle_size`` (in the
         submitting thread) or on the next flusher tick.  Unknown
         venues fail here, in the caller — they never cost a pipe
-        round-trip.
+        round-trip.  A :class:`ShardKey` venue is served as its
+        canonical string spelling.
         """
         if not self._started or self._closed:
             raise ServingError("fleet is not running")
+        if not isinstance(venue, str):
+            venue = coerce_key(venue)
         if venue not in self._mapping:
             raise ServingError(
                 f"unknown venue {venue!r}; fleet serves "
@@ -1067,7 +1043,7 @@ class ShardFleet:
         return ticket
 
     def submit_many(
-        self, items: Sequence[Tuple[str, np.ndarray]]
+        self, items: Sequence[Tuple[Union[str, ShardKey], np.ndarray]]
     ) -> List[Ticket]:
         """Queue many ``(venue, scan)`` pairs under one lock round.
 
@@ -1082,6 +1058,8 @@ class ShardFleet:
             raise ServingError("fleet is not running")
         prepared: List[Tuple[str, np.ndarray, int]] = []
         for venue, scan in items:
+            if not isinstance(venue, str):
+                venue = coerce_key(venue)
             if venue not in self._mapping:
                 raise ServingError(
                     f"unknown venue {venue!r}; fleet serves "
@@ -1118,7 +1096,7 @@ class ShardFleet:
 
     def locate(
         self,
-        venue: str,
+        venue: Union[str, ShardKey],
         scan: np.ndarray,
         timeout: Optional[float] = 30.0,
     ) -> np.ndarray:

@@ -237,7 +237,6 @@ def run(
             "worker": w.worker,
             "requests": w.requests,
             "utilization": w.utilization,
-            "kernel_utilization": w.kernel_utilization,
             "mean_tick": w.mean_tick,
             "lazy_loads": w.registry.lazy_loads,
             "fast_reloads": w.registry.fast_reloads,
@@ -302,7 +301,6 @@ def run(
                 "resident_bytes": fleet_stats.resident_bytes,
                 "mapped_bytes": fleet_stats.mapped_bytes,
                 "respawns": fleet_stats.respawns,
-                "kernel_utilization": fleet_stats.kernel_utilization,
                 "per_worker": per_worker,
                 "live_histogram": live_pct,
             },

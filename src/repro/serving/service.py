@@ -109,7 +109,6 @@ from ..imputers import fill_mnars
 from ..obs import MetricsRegistry, Telemetry
 from ..positioning import LocationEstimator, WKNNEstimator
 from ..positioning.base import NearestNeighbourEstimator
-from ..positioning.index import KERNEL_STATS
 from ..positioning.io import estimator_from_payload, estimator_payload
 from ..radiomap import RadioMap, RadioMapDelta
 from .completion import (
@@ -947,9 +946,8 @@ class VenueShard:
 
         ``tracer`` (a :class:`~repro.obs.Tracer` with an active span)
         opt-ins stage spans: a ``shard:<key>`` span with ``complete``
-        and ``estimate`` children, plus per-stage kernel children
-        reconstructed from ``KERNEL_STATS`` deltas when the spatial
-        index's stage timers are enabled.
+        and ``estimate`` children; a spatial-index estimate attaches
+        its own ``kernel.*`` stage children to the ``estimate`` span.
         """
         queries = self._validate(queries)
         # One tuple read = one consistent pipeline, even mid-reload.
@@ -960,13 +958,7 @@ class VenueShard:
     def _locate_traced(
         self, pipeline: Pipeline, queries: np.ndarray, tracer
     ) -> np.ndarray:
-        """:meth:`_locate_with`, with stage spans under ``tracer``.
-
-        Kernel stage durations come from ``KERNEL_STATS`` snapshot
-        deltas around the estimate — per-process, so attribution is
-        exact only while one traced batch runs the kernel at a time
-        (the pipeline's single flusher, a fleet worker's single loop).
-        """
+        """:meth:`_locate_with`, with stage spans under ``tracer``."""
         estimator, _, _, completion = pipeline
         with tracer.span(
             f"shard:{self.key}",
@@ -975,22 +967,8 @@ class VenueShard:
             if completion is not None:
                 with tracer.span("complete"):
                     queries = completion.complete(queries)
-            with tracer.span("estimate") as est_span:
-                before = (
-                    KERNEL_STATS.snapshot()
-                    if KERNEL_STATS.enabled
-                    else None
-                )
-                out = estimator.predict(queries, squeeze=False)
-                if before is not None and est_span is not None:
-                    after = KERNEL_STATS.snapshot()
-                    if after["calls"] > before["calls"]:
-                        for stage in KERNEL_STATS._FIELDS:
-                            est_span.child(
-                                f"kernel.{stage[:-2]}",
-                                duration=after[stage] - before[stage],
-                            )
-        return out
+            with tracer.span("estimate"):
+                return estimator.predict(queries, squeeze=False)
 
     def footprint(self) -> Tuple[int, int]:
         """``(resident_bytes, mapped_bytes)`` of this shard's pipeline.
@@ -1467,8 +1445,8 @@ class PositioningService:
         With a :class:`~repro.obs.Telemetry` attached, a sampled call
         opens a ``service.query_batch`` root span whose children
         cover the cache probe and each shard's complete→estimate
-        stages (down to the spatial-index kernel stages when their
-        timers are on); unsampled calls pay one counter read.
+        stages (down to the spatial-index kernel stages on indexed
+        shards); unsampled calls pay one counter read.
         """
         tracer = self.tracer
         if (

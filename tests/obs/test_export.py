@@ -95,3 +95,33 @@ def test_parse_prometheus_rejects_malformed():
         parse_prometheus("repro_bad{unclosed 3")
     # Comments and blanks are fine.
     assert parse_prometheus("# HELP x\n\n# TYPE x counter\n") == []
+
+
+def test_prometheus_one_type_line_per_family_and_escaped_labels():
+    m = MetricsRegistry()
+    m.counter("serving.venue_queries", venue="plain").add(1)
+    m.counter("serving.venue_queries", venue='mall, "north"').add(2)
+    m.gauge("registry.resident_bytes", worker="0").set(1.0)
+    m.gauge("registry.resident_bytes", worker="1").set(2.0)
+    text = render_prometheus(m.snapshot())
+    assert text.count("# TYPE repro_serving_venue_queries_total") == 1
+    assert text.count("# TYPE repro_registry_resident_bytes") == 1
+    assert (
+        'repro_serving_venue_queries_total{venue="mall, \\"north\\""} '
+        "2.0" in text
+    )
+    samples = parse_prometheus(text)
+    assert len(samples) == 4
+
+
+def test_parse_prometheus_rejects_duplicate_type_and_bare_quotes():
+    with pytest.raises(ObservabilityError, match="TYPE"):
+        parse_prometheus(
+            "# TYPE repro_x_total counter\nrepro_x_total 1\n"
+            "# TYPE repro_x_total counter\nrepro_x_total 2\n"
+        )
+    with pytest.raises(ObservabilityError, match="line 1"):
+        parse_prometheus('repro_x_total{venue="a"b"} 1')
+    assert parse_prometheus('repro_x_total{venue="a\\"b"} 1') == [
+        ("repro_x_total", '{venue="a\\"b"}', 1.0)
+    ]

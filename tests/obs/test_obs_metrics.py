@@ -26,6 +26,30 @@ def test_render_parse_key_round_trip():
     assert name == "worker.requests"
     assert labels == {"worker": "3", "zone": "a"}
     assert parse_key("plain.counter") == ("plain.counter", {})
+    # Venue names may hold the separators and quotes of the key
+    # syntax itself; they are escaped the way Prometheus escapes them.
+    for venue in (
+        "mall, north",
+        'the "annex"',
+        "back\\slash",
+        "two\nlines",
+        'a=b,c="d"}',
+    ):
+        key = render_key(
+            "serving.venue_queries", {"venue": venue, "worker": "0"}
+        )
+        assert parse_key(key) == (
+            "serving.venue_queries", {"venue": venue, "worker": "0"}
+        )
+    # ...and so survive a fleet drain into a parent registry.
+    worker = MetricsRegistry()
+    worker.counter("serving.venue_queries", venue="mall, north").add(2)
+    parent = MetricsRegistry()
+    parent.merge(worker.drain())
+    assert [
+        (labels, metric.value)
+        for labels, metric in parent.labelled("serving.venue_queries")
+    ] == [({"venue": "mall, north"}, 2.0)]
 
 
 def test_render_key_sorts_labels():

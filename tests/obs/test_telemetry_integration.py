@@ -12,7 +12,7 @@ from repro.obs import (
     histogram_percentiles_ms,
     percentiles_ms,
 )
-from repro.positioning import KERNEL_STATS, WKNNEstimator
+from repro.positioning import WKNNEstimator
 from repro.serving import PositioningService, ServingPipeline
 
 
@@ -39,8 +39,8 @@ def service(kaide_smoke, telemetry):
         "kaide",
         kaide_smoke.radio_map,
         MAROnlyDifferentiator(),
-        # Force the spatial-index path so KERNEL_STATS deltas exist
-        # for the kernel-stage span reconstruction.
+        # Force the spatial-index path so the kernel-stage spans
+        # exist.
         estimator=WKNNEstimator(spatial_index="on"),
     )
     return svc
@@ -88,14 +88,7 @@ def test_live_pipeline_histogram_matches_exact_percentiles(
 def test_span_tree_covers_all_kernel_stages(
     service, telemetry, kaide_smoke
 ):
-    KERNEL_STATS.enable()
-    try:
-        service.query_batch(
-            ["kaide"] * 16, scans(kaide_smoke, 16, seed=9)
-        )
-    finally:
-        KERNEL_STATS.disable()
-        KERNEL_STATS.reset()
+    service.query_batch(["kaide"] * 16, scans(kaide_smoke, 16, seed=9))
     stages = set()
     for root in telemetry.tracer.traces():
         stages |= root.stage_names()
@@ -122,3 +115,65 @@ def test_service_stats_view_reads_from_registry(
     # Registry reset flows through to the view (shared handles).
     telemetry.metrics.reset()
     assert service.stats.queries == 0
+
+
+def test_kernel_spans_belong_to_their_own_batch(service, kaide_smoke):
+    """Two threads serve traced batches through one indexed shard at
+    once, each under its own telemetry: every ``estimate`` span gets
+    exactly its own batch's five kernel stages, never the other
+    thread's."""
+    import threading
+
+    shard = service.shard("kaide")
+    k = shard.estimator.k
+    telemetries = [Telemetry(sample_every=1) for _ in range(2)]
+    services = []
+    for tel in telemetries:
+        svc = PositioningService(cache_size=0, telemetry=tel)
+        svc.register(shard)
+        services.append(svc)
+    batches = [scans(kaide_smoke, n, seed=n) for n in (12, 20)]
+    start = threading.Barrier(2)
+    errors = []
+
+    def serve(svc, rows):
+        try:
+            start.wait()
+            for _ in range(8):
+                svc.query_batch(["kaide"] * len(rows), rows)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=serve, args=(svc, rows))
+        for svc, rows in zip(services, batches)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+
+    kernel = {
+        "kernel.probe",
+        "kernel.select",
+        "kernel.bound",
+        "kernel.gemm",
+        "kernel.finish",
+    }
+    for tel, rows in zip(telemetries, batches):
+        roots = tel.tracer.traces()
+        assert len(roots) == 8
+        for root in roots:
+            (shard_span,) = root.children
+            assert shard_span.meta["rows"] == len(rows)
+            (estimate,) = [
+                c for c in shard_span.children if c.name == "estimate"
+            ]
+            stages = estimate.children
+            assert sorted(c.name for c in stages) == sorted(kernel)
+            assert sum(c.duration for c in stages) <= estimate.duration
+            candidates = sum(
+                (c.meta or {}).get("candidates", 0) for c in stages
+            )
+            assert candidates >= k * len(rows)

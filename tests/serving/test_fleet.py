@@ -14,6 +14,7 @@ from repro.obs import BUCKET_FACTOR, Telemetry
 from repro.serving import (
     PositioningService,
     ShardFleet,
+    ShardKey,
     ShardRegistry,
     partition_venue,
 )
@@ -218,6 +219,33 @@ def test_fleet_unknown_venue_fails_in_caller(city):
     with ShardFleet(store, mapping, workers=2) as fleet:
         with pytest.raises(ServingError, match="unknown venue"):
             fleet.submit("venue-none", np.zeros(12))
+
+
+def test_fleet_accepts_shard_key_venues(city):
+    """A ``ShardKey`` and its rendered string name one venue, both in
+    the mapping and at submit, and get bit-identical answers."""
+    store, mapping, pools, _ = city
+    venues = sorted(mapping)[:4]
+    # Half the mapping keyed by string, half by ShardKey.
+    floored = {
+        (f"{v}/f1" if i % 2 else ShardKey(v, "f1")): mapping[v]
+        for i, v in enumerate(venues)
+    }
+    items = [(v, row) for v in venues for row in pools[v][:3]]
+    with ShardFleet(store, floored, workers=2) as fleet:
+        assert fleet.venues == tuple(f"{v}/f1" for v in venues)
+        by_string = [fleet.submit(f"{v}/f1", row) for v, row in items]
+        by_key = [
+            fleet.submit(ShardKey(v, "f1"), row) for v, row in items
+        ]
+        by_many = fleet.submit_many(
+            [(ShardKey(v, "f1"), row) for v, row in items]
+        )
+        fleet.flush()
+        want = np.stack([t.result(timeout=60.0) for t in by_string])
+        for tickets in (by_key, by_many):
+            got = np.stack([t.result(timeout=60.0) for t in tickets])
+            np.testing.assert_array_equal(got, want)
 
 
 def test_fleet_respawns_crashed_worker_bit_identical(city):
