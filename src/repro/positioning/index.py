@@ -127,7 +127,8 @@ def pair_exact_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     produce bit-identical values for the same pair.
     """
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return (diff * diff).sum(axis=-1)
+    diff *= diff
+    return diff.sum(axis=-1)
 
 
 def canonical_k_smallest(
@@ -187,6 +188,7 @@ def select_k_nearest(
     k: int,
     qi: np.ndarray,
     ri: np.ndarray,
+    mask: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact finish + canonical selection over candidate pairs.
 
@@ -202,30 +204,45 @@ def select_k_nearest(
     to the exact scan of every reference through
     :func:`canonical_k_smallest`, which orders the same values the
     same way.  Returns ``(d2, ids)`` of shape ``(n, k)``.
+
+    ``mask`` (``(n, D)`` bool, optional) restricts each query's
+    distance to its observed dims: the pair distance becomes
+    ``pair_exact_sq_dists(queries[qi], refs[ri] * mask[qi])``, so
+    ``queries`` must hold zeros where ``mask`` is False.
     """
     b, d = queries.shape
     d2x = np.empty(qi.size)
     step = max(1, _FINISH_CHUNK // max(d, 1))
     for s in range(0, qi.size, step):
         e = s + step
-        d2x[s:e] = pair_exact_sq_dists(queries[qi[s:e]], refs[ri[s:e]])
+        r = refs[ri[s:e]]
+        if mask is not None:
+            r *= mask[qi[s:e]]
+        d2x[s:e] = pair_exact_sq_dists(queries[qi[s:e]], r)
     order = np.lexsort((ri, d2x, qi))
-    sq, sd, si = qi[order], d2x[order], ri[order]
-    seg = np.searchsorted(sq, np.arange(b + 1))
-    short = np.diff(seg) < k
+    sd, si = d2x[order], ri[order]
+    counts = np.bincount(qi, minlength=b)
+    starts = np.cumsum(counts) - counts
+    short = counts < k
     if not short.any():
-        pick = seg[:-1][:, None] + np.arange(k)[None, :]
+        pick = starts[:, None] + np.arange(k)
         return sd[pick], si[pick]
     vals = np.empty((b, k))
     ids = np.empty((b, k), dtype=np.int64)
     good = np.nonzero(~short)[0]
-    pick = seg[:-1][good, None] + np.arange(k)[None, :]
+    pick = starts[good, None] + np.arange(k)
     vals[good], ids[good] = sd[pick], si[pick]
     rows = np.nonzero(short)[0]
-    vals[rows], ids[rows] = canonical_k_smallest(
-        pair_exact_sq_dists(queries[rows][:, None, :], refs[None, :, :]),
-        k,
-    )
+    # One row at a time, references chunked: a fallback row on a large
+    # map would otherwise materialise an (n_refs, D) difference per row.
+    scan = np.empty((rows.size, refs.shape[0]))
+    for j, i in enumerate(rows):
+        for s in range(0, refs.shape[0], step):
+            r = refs[s : s + step]
+            if mask is not None:
+                r = r * mask[i]
+            scan[j, s : s + step] = pair_exact_sq_dists(queries[i], r)
+    vals[rows], ids[rows] = canonical_k_smallest(scan, k)
     return vals, ids
 
 
