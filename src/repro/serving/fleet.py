@@ -30,17 +30,20 @@ tiers that fix both, on top of the existing warm-start artifacts:
     venues are hash-partitioned (stable CRC-32, so a venue lives in
     exactly one worker across restarts *and* respawns), each worker
     owns a :class:`ShardRegistry` over its partition with its slice of
-    the memory budget, and requests travel over pipes as bundles that
-    each worker serves **batched per venue per tick** — one
-    ``locate()`` call per venue per tick instead of one per request,
-    which amortises per-request bookkeeping even on a single core.  A
+    the memory budget, and requests travel over pipes as bundles.  A
+    worker serves each tick through the same serve core as
+    :meth:`~repro.serving.PositioningService.query_batch` (group by
+    venue through its registry, then one ``locate()`` per venue), so
+    per-request bookkeeping is amortised even on a single core, and a
+    row that fails (unknown venue, failed load, wrong width, a raising
+    ``locate``) fails only itself or its venue, never the tick.  A
     worker that dies (OOM killer, segfault, ``kill -9``) is detected
-    by its broken pipe, respawned, and its in-flight requests are
-    resubmitted; the respawned worker lazily re-loads its shards from
-    the store, so the venue answers bit-identically after the crash.
-    Per-tick venue batching keeps answers bit-identical to a
-    per-request baseline too: the nearest-neighbour estimators' exact
-    search does not depend on batch composition.
+    by its broken pipe, respawned, and each of its in-flight requests
+    is resubmitted once; the respawned worker lazily re-loads its
+    shards from the store, so the venue answers bit-identically after
+    the crash.  Per-tick venue batching keeps answers bit-identical to
+    a per-request baseline too: the nearest-neighbour estimators'
+    exact search does not depend on batch composition.
 
 :class:`FleetStats` aggregates both tiers: lazy-load / fast-reload /
 eviction counters, resident vs memory-mapped bytes against the
@@ -64,6 +67,7 @@ import os
 import threading
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -588,19 +592,27 @@ def _worker_main(
     trace_sample_every: int = 0,
     slow_ms: Optional[float] = None,
 ) -> None:
-    """One fleet worker: drain the pipe, serve per-venue batches.
+    """One fleet worker: drain the pipe, serve each tick in one pass.
 
     Every iteration blocks on the first message, then drains whatever
-    else is already queued — so under load a tick naturally coalesces
-    many bundles, and each venue in the tick costs one ``locate()``
-    regardless of how many requests it received.  Module-level (not a
-    closure) so the ``spawn`` start method can import it.
+    else is already queued, so under load a tick coalesces many
+    bundles.  The tick is one serve-core pass over a cache-less
+    service that registers nothing (:meth:`PositioningService._group`
+    with :meth:`ShardRegistry.get` as the lookup, then ``_serve``):
+    each venue costs one ``locate()``, and a failing row (unknown
+    venue, failed load, wrong width, a raising ``locate``) fails only
+    itself or its venue.  Each group keeps the shard it resolved, so a
+    tick touching more cold venues than the budget holds exceeds the
+    budget until the tick ends.  Module-level (not a closure) so the
+    ``spawn`` start method can import it.
 
-    The worker keeps its counters in a per-process
-    :class:`~repro.obs.MetricsRegistry` (shared with its shard
-    registry) and ships the delta since its last answer inside every
-    ``"done"`` message; when ``trace_sample_every`` is positive it
-    also samples span trees per venue batch and ships those alongside.
+    The worker keeps its ``worker.*`` and ``registry.*`` counters in a
+    per-process :class:`~repro.obs.MetricsRegistry` and ships the
+    delta since its last answer inside every ``"done"`` message.  The
+    service's ``serving.*`` counters stay in its own registry, out of
+    that per-tick drain.  When ``trace_sample_every`` is positive the
+    worker also samples ticks: a sampled tick is one ``worker.serve``
+    root with a ``shard:<key>`` span per venue, shipped alongside.
     """
     metrics = MetricsRegistry()
     registry = ShardRegistry(
@@ -614,6 +626,8 @@ def _worker_main(
         if trace_sample_every > 0
         else None
     )
+    service = PositioningService(cache_size=0)
+    service.tracer = tracer
     started = time.perf_counter()
     c_requests = metrics.counter("worker.requests")
     c_ticks = metrics.counter("worker.ticks")
@@ -666,69 +680,34 @@ def _worker_main(
                 t0 = time.perf_counter()
                 c_ticks.add(1)
                 c_requests.add(len(reqs))
-                groups: "Dict[str, List[Tuple[int, np.ndarray]]]" = {}
-                for rid, venue, row in reqs:
-                    groups.setdefault(venue, []).append((rid, row))
-                done_rids: List[int] = []
-                done_locs: List[np.ndarray] = []
-                errors: List[Tuple[int, str]] = []
-                for venue, items in groups.items():
-                    try:
-                        shard = registry.get(venue)
-                    except Exception as exc:
-                        reason = f"{type(exc).__name__}: {exc}"
-                        errors.extend((rid, reason) for rid, _ in items)
-                        continue
-                    # A wrong-width scan fails alone, not its venue.
-                    good = []
-                    for rid, row in items:
-                        if row.shape == (shard.n_aps,):
-                            good.append((rid, row))
-                        else:
-                            errors.append((
-                                rid,
-                                f"ServingError: venue {venue!r} expects "
-                                f"({shard.n_aps},) scans, got {row.shape}",
-                            ))
-                    if not good:
-                        continue
-                    rids = [rid for rid, _ in good]
-                    try:
-                        rows = np.stack([row for _, row in good])
-                        if tracer is not None and tracer.sample():
-                            with tracer.trace(
-                                "worker.serve",
-                                meta={
-                                    "venue": venue,
-                                    "rows": len(good),
-                                    "worker": worker_id,
-                                },
-                            ):
-                                located = shard.locate(
-                                    rows, tracer=tracer
-                                )
-                        else:
-                            located = shard.locate(rows)
-                    except Exception as exc:
-                        reason = f"{type(exc).__name__}: {exc}"
-                        errors.extend((rid, reason) for rid in rids)
-                    else:
-                        c_batches.add(1)
-                        venues_served.add(venue)
-                        done_rids.extend(rids)
-                        done_locs.append(located)
-                locations = (
-                    np.concatenate(done_locs)
-                    if done_locs
-                    else np.empty((0, 2))
-                )
+                rids, venues, rows = zip(*reqs)
+                with (
+                    tracer.trace(
+                        "worker.serve",
+                        meta={"rows": len(reqs), "worker": worker_id},
+                    )
+                    if tracer is not None and tracer.sample()
+                    else nullcontext()
+                ):
+                    groups, failed = service._group(
+                        venues, rows, registry.get
+                    )
+                    out, lost = service._serve(groups, len(reqs), t0)
+                served = [g.key for g in groups if g.error is None]
+                c_batches.add(len(served))
+                venues_served.update(served)
+                errors = dict(failed + lost)
+                done = [i for i in range(len(reqs)) if i not in errors]
                 c_busy.add(time.perf_counter() - t0)
                 conn.send(
                     (
                         "done",
-                        done_rids,
-                        locations,
-                        errors,
+                        [rids[i] for i in done],
+                        out[done] if errors else out,
+                        [
+                            (rids[i], f"{type(exc).__name__}: {exc}")
+                            for i, exc in errors.items()
+                        ],
                         telemetry_payload(),
                     )
                 )
@@ -754,6 +733,7 @@ class _Worker:
         "buffer",
         "generation",
         "final_stats",
+        "collector",
     )
 
     def __init__(self, index: int, mapping: Dict[str, str]):
@@ -765,6 +745,7 @@ class _Worker:
         self.buffer: List[Tuple[int, str, np.ndarray]] = []
         self.generation = 0
         self.final_stats: Optional[WorkerStats] = None
+        self.collector: Optional[threading.Thread] = None
 
 
 class ShardFleet:
@@ -936,12 +917,13 @@ class ShardFleet:
         worker.proc = proc
         worker.conn = parent_conn
         generation = worker.generation
-        threading.Thread(
+        worker.collector = threading.Thread(
             target=self._collect,
             args=(worker, generation, parent_conn),
             name=f"fleet-collector-{worker.index}.{generation}",
             daemon=True,
-        ).start()
+        )
+        worker.collector.start()
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain in-flight work, stop the workers, fail leftovers.
@@ -960,13 +942,16 @@ class ShardFleet:
             pass
         self._stop_event.set()
         for worker in self._workers:
-            self._send(worker, ("stop",), respawn=False)
+            self._send(worker, ("stop",))
         for worker in self._workers:
             if worker.proc is not None:
                 worker.proc.join(timeout=2.0)
                 if worker.proc.is_alive():
                     worker.proc.kill()
                     worker.proc.join(timeout=1.0)
+            if worker.collector is not None:
+                # Let it read the worker's "stopped" final stats.
+                worker.collector.join(timeout=2.0)
             if worker.conn is not None:
                 try:
                     worker.conn.close()
@@ -1011,36 +996,7 @@ class ShardFleet:
         round-trip.  A :class:`ShardKey` venue is served as its
         canonical string spelling.
         """
-        if not self._started or self._closed:
-            raise ServingError("fleet is not running")
-        if not isinstance(venue, str):
-            venue = coerce_key(venue)
-        if venue not in self._mapping:
-            raise ServingError(
-                f"unknown venue {venue!r}; fleet serves "
-                f"{len(self._mapping)} venues"
-            )
-        row = np.asarray(scan, dtype=float)
-        if row.ndim != 1:
-            raise ServingError("submit() takes a single (D,) scan")
-        worker = self._workers[partition_venue(venue, self.n_workers)]
-        ticket = Ticket(self._done_cv)
-        bundle = None
-        with self._mu:
-            rid = self._next_rid
-            self._next_rid += 1
-            self._pending[rid] = (
-                venue, row, ticket, worker.index, time.perf_counter()
-            )
-            self._outstanding += 1
-            self._c_requests.add(1)
-            worker.buffer.append((rid, venue, row))
-            if len(worker.buffer) >= self.bundle_size:
-                bundle = worker.buffer
-                worker.buffer = []
-        if bundle is not None:
-            self._send(worker, ("batch", bundle))
-        return ticket
+        return self.submit_many([(venue, scan)])[0]
 
     def submit_many(
         self, items: Sequence[Tuple[Union[str, ShardKey], np.ndarray]]
@@ -1067,14 +1023,12 @@ class ShardFleet:
                 )
             row = np.asarray(scan, dtype=float)
             if row.ndim != 1:
-                raise ServingError(
-                    "submit_many() takes (venue, (D,) scan) pairs"
-                )
+                raise ServingError("a fleet scan must be one (D,) row")
             prepared.append(
                 (venue, row, partition_venue(venue, self.n_workers))
             )
         tickets: List[Ticket] = []
-        bundles: List[Tuple[_Worker, list]] = []
+        bundles: List[Tuple[_Worker, list, int]] = []
         with self._mu:
             now = time.perf_counter()
             self._c_requests.add(len(prepared))
@@ -1087,11 +1041,11 @@ class ShardFleet:
                 self._outstanding += 1
                 worker.buffer.append((rid, venue, row))
                 if len(worker.buffer) >= self.bundle_size:
-                    bundles.append((worker, worker.buffer))
+                    bundles.append((worker, worker.buffer, worker.generation))
                     worker.buffer = []
                 tickets.append(ticket)
-        for worker, bundle in bundles:
-            self._send(worker, ("batch", bundle))
+        for worker, bundle, generation in bundles:
+            self._send(worker, ("batch", bundle), generation)
         return tickets
 
     def locate(
@@ -1108,13 +1062,11 @@ class ShardFleet:
     def flush(self) -> None:
         """Ship every worker's partial buffer now."""
         for worker in self._workers:
-            bundle = None
             with self._mu:
-                if worker.buffer:
-                    bundle = worker.buffer
-                    worker.buffer = []
-            if bundle is not None:
-                self._send(worker, ("batch", bundle))
+                bundle, generation = worker.buffer, worker.generation
+                worker.buffer = []
+            if bundle:
+                self._send(worker, ("batch", bundle), generation)
 
     def wait_outstanding(
         self, limit: int = 0, timeout: Optional[float] = None
@@ -1148,20 +1100,21 @@ class ShardFleet:
         while not self._stop_event.wait(self._flush_interval):
             self.flush()
 
-    def _send(self, worker: _Worker, message, *, respawn=True) -> None:
-        generation = worker.generation
+    def _send(self, worker: _Worker, message, generation=None) -> None:
+        if generation is None:
+            generation = worker.generation
         try:
             with worker.send_lock:
                 conn = worker.conn
-                if conn is None:
+                if conn is None or worker.generation != generation:
                     raise BrokenPipeError
                 conn.send(message)
         except (BrokenPipeError, OSError, ValueError):
-            # The worker died with this message in the pipe.  Any
-            # "batch" payload is still tracked in _pending, so the
-            # crash handler resubmits it to the replacement.
-            if respawn and not self._closed:
-                self._handle_crash(worker, generation)
+            # The worker died with this message in the pipe, or was
+            # respawned after this bundle left its buffer.  Either way
+            # every "batch" row is still in _pending, and the crash
+            # handler resubmits it once (a stale generation is a no-op).
+            self._handle_crash(worker, generation)
 
     def _collect(self, worker: _Worker, generation: int, conn) -> None:
         while True:
@@ -1238,7 +1191,7 @@ class ShardFleet:
                 in self._pending.items()
                 if wid == worker.index
             ]
-            redo.extend(worker.buffer)
+            # Buffered rows are in _pending too: resubmit each once.
             worker.buffer = []
             old_conn, old_proc = worker.conn, worker.proc
             worker.conn = worker.proc = None
@@ -1251,7 +1204,7 @@ class ShardFleet:
             old_proc.kill()
         self._spawn(worker)
         if redo:
-            self._send(worker, ("batch", redo))
+            self._send(worker, ("batch", redo), generation + 1)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -1261,41 +1214,35 @@ class ShardFleet:
 
         A worker that cannot answer within ``timeout`` (crashed
         mid-snapshot) contributes its last known final stats, or
-        nothing — the routing-tier counters are always exact.
+        nothing — the routing-tier counters are always exact.  A
+        closed fleet answers at once from the workers' final stats.
         """
         tokens: Dict[int, _Worker] = {}
-        with self._stats_cv:
-            for worker in self._workers:
-                token = self._next_token
-                self._next_token += 1
-                tokens[token] = worker
-        for token, worker in tokens.items():
-            self._send(worker, ("stats", token))
+        if not self._closed:
+            with self._stats_cv:
+                for worker in self._workers:
+                    tokens[self._next_token] = worker
+                    self._next_token += 1
+            for token, worker in tokens.items():
+                self._send(worker, ("stats", token))
         deadline = time.monotonic() + timeout
-        collected: List[WorkerStats] = []
         with self._stats_cv:
-            while True:
-                missing = [
-                    t
-                    for t in tokens
-                    if t not in self._stats_replies
-                ]
-                if not missing:
-                    break
+            while not all(t in self._stats_replies for t in tokens):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._stats_cv.wait(remaining)
-            for token, worker in tokens.items():
-                reply = self._stats_replies.pop(token, None)
-                if reply is None:
-                    reply = worker.final_stats
-                if reply is not None:
-                    collected.append(reply)
-        collected.sort(key=lambda w: w.worker)
+            replies = {
+                worker.index: self._stats_replies.pop(token, None)
+                for token, worker in tokens.items()
+            }
+        collected = [
+            replies.get(worker.index) or worker.final_stats
+            for worker in self._workers
+        ]
         with self._mu:
             return FleetStats(
-                workers=collected,
+                workers=[w for w in collected if w is not None],
                 requests=int(self._c_requests.value),
                 resolved=int(self._c_resolved.value),
                 errors=int(self._c_errors.value),

@@ -31,7 +31,9 @@ single-caller batched path:
 
 Requests are validated at submit time (unknown venue, wrong
 fingerprint width) so a bad request fails fast in its caller and can
-never poison the micro-batch it would have joined.
+never poison the micro-batch it would have joined.  A venue that
+fails inside a flush (unregistered while its rows were queued, or a
+``locate`` that raises) fails only its own tickets.
 """
 
 from __future__ import annotations
@@ -364,61 +366,63 @@ class ServingPipeline:
             self._flush(batch)
 
     def _flush(self, batch: List[_Entry]) -> None:
-        venues = [entry[0] for entry in batch]
-        rows = [entry[1] for entry in batch]
-        keys = [entry[2] for entry in batch]
-        tracer = self.service.tracer
-        spans = [entry[5] for entry in batch if entry[5] is not None]
+        """Serve one micro-batch through the serve core and settle each
+        ticket with its own row's outcome."""
+        service = self.service
+        tracer = service.tracer
+        start = time.perf_counter()
         serve_span = None
+        if tracer is not None and any(e[5] is not None for e in batch):
+            # One serve span is shared by every sampled request in the
+            # batch — the flusher serves them together, so their trees
+            # share the batched stage breakdown.
+            serve_span = tracer.start("serve", {"batch": len(batch)})
         try:
-            start = time.perf_counter()
-            if spans and tracer is not None:
-                # One serve span is shared by every sampled request
-                # in the batch — the flusher serves them together, so
-                # their trees share the batched stage breakdown.
-                serve_span = tracer.start(
-                    "serve", {"batch": len(batch)}
-                )
             with (
                 tracer.activate(serve_span) if serve_span is not None
                 else nullcontext()
             ):
-                out = self.service._serve(venues, rows, start, keys)
-            if serve_span is not None:
-                serve_span.duration = time.perf_counter() - start
-        except BaseException as exc:  # resolve tickets, never die silent
-            failed = [(entry[3], None, exc) for entry in batch]
-            settle(self._done_cv, failed, time.perf_counter())
-            for entry in batch:
-                if entry[5] is not None and tracer is not None:
-                    entry[5].meta = {"error": type(exc).__name__}
-                    tracer.finish(entry[5])
-            self.stats.failed += len(batch)
-            self.stats.batches += 1
-            return
+                groups, failed = service._group(
+                    [e[0] for e in batch], [e[1] for e in batch],
+                    service.shard,
+                )
+                out, lost = service._serve(
+                    groups, len(batch), start, [e[2] for e in batch]
+                )
+            errors = dict(failed + lost)
+        except Exception as exc:  # resolve tickets, never die silent
+            errors = dict.fromkeys(range(len(batch)), exc)
         now = time.perf_counter()
         settle(
             self._done_cv,
-            [(entry[3], out[i], None) for i, entry in enumerate(batch)],
+            [
+                (e[3], None, errors[i]) if i in errors
+                else (e[3], out[i], None)
+                for i, e in enumerate(batch)
+            ],
             now,
         )
-        # Queue-inclusive per-request latency, vectorized over the
-        # batch (one searchsorted, one scatter-add).
+        # Queue-inclusive per-request latency of the answered rows,
+        # vectorized over the batch (one searchsorted, one scatter-add).
         self._h_latency.record_many(
-            now - np.asarray([entry[4] for entry in batch])
+            now - np.asarray(
+                [e[4] for i, e in enumerate(batch) if i not in errors]
+            )
         )
         if serve_span is not None:
-            for entry in batch:
-                root = entry[5]
+            serve_span.duration = now - start
+            for i, e in enumerate(batch):
+                root = e[5]
                 if root is None:
                     continue
-                root.child(
-                    "queue", duration=max(0.0, start - entry[4])
-                )
+                if i in errors:
+                    root.meta = {"error": type(errors[i]).__name__}
+                root.child("queue", duration=max(0.0, start - e[4]))
                 root.children.append(serve_span)
                 root.duration = now - root.start
                 tracer.finish(root)
-        self.stats.flushed += len(batch)
+        self.stats.flushed += len(batch) - len(errors)
+        self.stats.failed += len(errors)
         self.stats.batches += 1
         self.stats.largest_batch = max(
             self.stats.largest_batch, len(batch)

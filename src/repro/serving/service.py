@@ -18,23 +18,32 @@ fingerprints, and keeps latency/throughput counters::
     locations = service.query_batch(keys, fingerprints)  # (n, 2)
     print(service.stats.render())
 
-Every batch — a direct :meth:`PositioningService.query_batch` or a
-:class:`~repro.serving.pipeline.ServingPipeline` micro-batch — goes
-through one serve core in four steps:
+Every batch — a direct :meth:`PositioningService.query_batch`, a
+:class:`~repro.serving.pipeline.ServingPipeline` micro-batch or a
+:class:`~repro.serving.fleet.ShardFleet` worker tick — goes through
+one serve core in four steps:
 
 1. **group**: resolve each distinct venue once to its shard and
    canonical key (``ShardKey("kaide")`` and ``"kaide"`` are one
-   venue), validate the width, and stack each venue's rows into one
-   contiguous array (a single-venue ``(n, D)`` ndarray is served as
-   the caller's array, no copy);
+   venue), check each row's width, and stack each venue's rows into
+   one contiguous array (a single-venue ``(n, D)`` ndarray is served
+   as the caller's array, no copy).  A row that cannot be placed
+   (unknown venue, failed shard load, wrong width) fails alone;
 2. **cache filter** (skipped when ``cache_size == 0``): quantize the
    stacks into cache keys, answer hits under the lock, and coalesce
    repeats of an in-batch miss onto one leader row;
 3. **locate**: one batched :meth:`VenueShard.locate` per venue over
-   its miss rows;
+   its miss rows.  A venue whose ``locate`` raises fails its own rows
+   only: it caches nothing and publishes nothing;
 4. **fan out and publish**: scatter answers back to batch order,
    insert fresh answers into the cache and publish the counters in
    one critical section.
+
+Front ends differ only in how they report the failures:
+:meth:`~PositioningService.query_batch` raises the first grouping
+failure before the cache or the counters are touched, and the first
+``locate`` failure after the other venues are served; the pipeline and
+the fleet settle each request with its own row's outcome.
 
 The serve path never runs the BiSIM encoder.  Shards built with a
 :class:`~repro.bisim.BiSIMConfig` precompute the fully-imputed
@@ -82,6 +91,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -248,16 +258,18 @@ class _PreparedUpdate:
 @dataclass
 class _Group:
     """One venue's rows inside the serve core: batch positions
-    ``rows`` (``None``: all, in order), their ``(m, D)`` ``stack`` and
-    ``(m, 2)`` answers ``out``.  Cache-on only: ``missed`` positions,
-    the first miss per key (``leaders``, computed by the shard), each
-    miss's leader when keys repeat (``fan``) and the probed ``epoch``."""
+    ``rows`` (ascending), their ``(m, D)`` ``stack`` and
+    ``(m, 2)`` answers ``out``, or the ``error`` its ``locate`` raised.
+    Cache-on only: ``missed`` positions, the first miss per key
+    (``leaders``, computed by the shard), each miss's leader when keys
+    repeat (``fan``) and the probed ``epoch``."""
 
     key: str
     shard: "VenueShard"
     rows: Optional[np.ndarray]
     stack: np.ndarray
     out: Optional[np.ndarray] = None
+    error: Optional[Exception] = None
     keys: Sequence[CacheKey] = ()
     missed: Sequence[int] = ()
     leaders: Sequence[int] = ()
@@ -1431,7 +1443,9 @@ class PositioningService:
         ndarray, as long as every named shard expects ``D`` APs, or a
         sequence of ``(D_venue,)`` vectors, which also lets rows
         differ in AP count.  Every row is validated before the cache
-        or the counters are touched.
+        or the counters are touched.  If a venue's ``locate`` raises,
+        the other venues are still served, cached and counted, and
+        then the error is re-raised.
 
         Rows are grouped into one contiguous stack per venue; an
         ndarray naming a single venue is served as is, without a
@@ -1448,57 +1462,58 @@ class PositioningService:
         stages (down to the spatial-index kernel stages on indexed
         shards); unsampled calls pay one counter read.
         """
-        tracer = self.tracer
-        if (
-            tracer is not None
-            and tracer.current() is None
-            and tracer.sample()
-        ):
-            with tracer.trace(
-                "service.query_batch", meta={"rows": len(venues)}
-            ):
-                return self._query_batch(venues, fingerprints)
-        return self._query_batch(venues, fingerprints)
-
-    def _query_batch(
-        self,
-        venues: Sequence[str],
-        fingerprints: Sequence[np.ndarray],
-    ) -> np.ndarray:
         start = time.perf_counter()
         if len(venues) != len(fingerprints):
             raise ServingError("venues/fingerprints length mismatch")
-        if self._floor_routers and len(venues):
-            # Stacked venues: classify bare-venue rows onto their
-            # floor shards before any shard is resolved.  Guarded so
-            # a service with no routers attached takes the exact
-            # single-floor code path.
-            venues = self._route_floors(venues, fingerprints)
-        return self._serve(venues, fingerprints, start)
+        tracer = self.tracer
+        with (
+            tracer.trace("service.query_batch", meta={"rows": len(venues)})
+            if tracer is not None
+            and tracer.current() is None
+            and tracer.sample()
+            else nullcontext()
+        ):
+            if self._floor_routers and len(venues):
+                # Stacked venues: classify bare-venue rows onto their
+                # floor shards before any shard is resolved.  Guarded
+                # so a service with no routers attached takes the
+                # exact single-floor code path.
+                venues = self._route_floors(venues, fingerprints)
+            groups, failed = self._group(venues, fingerprints, self.shard)
+            if failed:
+                raise failed[0][1]
+            out, failed = self._serve(groups, len(venues), start)
+        if failed:
+            raise failed[0][1]
+        return out
 
     def _serve(
         self,
-        venues: Sequence[Union[str, ShardKey]],
-        fingerprints: Sequence[np.ndarray],
+        groups: List[_Group],
+        n: int,
         start: float,
         keys: Optional[Sequence[CacheKey]] = None,
-    ) -> np.ndarray:
-        """The serve core of :meth:`query_batch` and the pipeline
-        flush: group → cache filter → locate → publish (see the module
-        docstring).  ``keys`` may carry the rows' cache keys when the
-        caller already computed them (the pipeline's submit probe)."""
-        groups = self._group(venues, fingerprints)
+    ) -> Tuple[np.ndarray, List[Tuple[int, Exception]]]:
+        """Steps 2-4 of the serve core over :meth:`_group`'s groups of
+        an ``n``-row batch → ``(out, failed)``.
+
+        ``out`` holds the answers in batch order; ``failed`` lists
+        ``(row, error)`` for every row of a group whose ``locate``
+        raised (their ``out`` rows are undefined).  Such a group caches
+        nothing and publishes nothing.  ``keys`` may carry the rows'
+        cache keys when the caller already computed them (the
+        pipeline's submit probe).
+        """
         tracer = self.tracer
         if tracer is not None and tracer.current() is None:
             tracer = None
-        hits = misses = 0
         if self.cache_size:
             for g in groups:
                 if keys is None:
                     g.keys = self.cache_keys(g.key, g.stack)
                 else:
                     g.keys = (
-                        keys if g.rows is None
+                        keys if len(g.rows) == n
                         else [keys[i] for i in g.rows]
                     )
             with (
@@ -1519,8 +1534,6 @@ class PositioningService:
                     g.leaders = list(first.values())
                     if len(g.leaders) < len(g.missed):
                         g.fan = [first[g.keys[i]] for i in g.missed]
-                    hits += len(g.stack) - len(g.leaders)
-                    misses += len(g.leaders)
 
         for g in groups:
             if g.out is not None and not g.leaders:
@@ -1528,10 +1541,14 @@ class PositioningService:
             # Cache off, or every row a distinct miss: the whole stack.
             whole = g.out is None or len(g.leaders) == len(g.stack)
             batch = g.stack if whole else g.stack[g.leaders]
-            located = (
-                g.shard.locate(batch) if tracer is None
-                else g.shard.locate(batch, tracer=tracer)
-            )
+            try:
+                located = (
+                    g.shard.locate(batch) if tracer is None
+                    else g.shard.locate(batch, tracer=tracer)
+                )
+            except Exception as exc:
+                g.error = exc
+                continue
             if whole:
                 g.out = located
             else:
@@ -1539,14 +1556,15 @@ class PositioningService:
                 if g.fan:
                     g.out[g.missed] = g.out[g.fan]
 
-        if len(groups) == 1 and groups[0].rows is None:
-            out = groups[0].out
+        served = [g for g in groups if g.error is None]
+        if len(served) == 1 and len(served[0].rows) == n:
+            out = served[0].out
         else:
-            out = np.empty((len(venues), 2))
-            for g in groups:
+            out = np.empty((n, 2))
+            for g in served:
                 out[g.rows] = g.out
         with self._lock:
-            for g in groups:
+            for g in served:
                 # A reload, delta or unregister that landed mid-batch
                 # leaves these answers right for their requests, which
                 # arrived first, but they must not repopulate the
@@ -1558,59 +1576,88 @@ class PositioningService:
                 ):
                     for i in g.leaders:
                         self._cache_put(g.keys[i], g.out[i])
-            self._publish(
-                start,
-                [(g.key, len(g.stack)) for g in groups],
-                len(venues),
-                hits=hits,
-                misses=misses,
-                batches=1,
-            )
-        return out
+            if served or not groups:
+                misses = sum(len(g.leaders) for g in served)
+                queries = sum(len(g.stack) for g in served)
+                self._publish(
+                    start,
+                    [(g.key, len(g.stack)) for g in served],
+                    queries,
+                    hits=queries - misses if self.cache_size else 0,
+                    misses=misses,
+                    batches=1,
+                )
+        failed = [
+            (int(i), g.error)
+            for g in groups
+            if g.error is not None
+            for i in g.rows
+        ]
+        return out, failed
 
     def _group(
         self,
         venues: Sequence[Union[str, ShardKey]],
         fingerprints: Sequence[np.ndarray],
-    ) -> List[_Group]:
-        """Step 1 of the serve core: one :class:`_Group` per venue.
+        lookup: Callable[[Union[str, ShardKey]], VenueShard],
+    ) -> Tuple[List[_Group], List[Tuple[int, Exception]]]:
+        """Step 1 of the serve core → ``(groups, failed)``.
 
-        Each distinct venue spelling is resolved once, and spellings
-        of one shard share its canonical key.  Every row is validated
-        here, so a bad row fails the batch before the cache or the
-        counters are touched.
+        ``lookup`` resolves each distinct venue spelling once
+        (:meth:`shard`, or ``ShardRegistry.get`` in a fleet worker);
+        spellings of one shard share its canonical key, and each group
+        holds the shard it resolved, so an eviction later in the batch
+        cannot strand it.  Rows that cannot be placed come back in
+        ``failed`` as ``(row, error)`` instead of raising: the lookup's
+        error for an unknown venue or a failed load, and a
+        :class:`ServingError` for a wrong-width row, which fails alone.
         """
-        shards: Dict[str, Tuple[VenueShard, List]] = {}
-        for venue in set(venues):
-            shard = self.shard(venue)
-            shards.setdefault(shard.key, (shard, []))[1].append(venue)
+        positions: Dict[Any, List[int]] = {}
+        for i, venue in enumerate(venues):
+            positions.setdefault(venue, []).append(i)
+        placed: Dict[Any, Tuple[Any, List[int]]] = {}
+        for venue, at in positions.items():
+            try:
+                shard = lookup(venue)
+                key = shard.key
+            except Exception as exc:
+                shard, key = exc, venue
+            placed.setdefault(key, (shard, []))[1].extend(at)
         dense = (
             isinstance(fingerprints, np.ndarray)
             and fingerprints.ndim == 2
         )
-        names = np.asarray(venues, dtype=object) if len(shards) > 1 else None
-        groups = []
-        for key, (shard, spellings) in shards.items():
-            rows, part = None, fingerprints  # one venue: caller's rows
-            if names is not None:
-                match = names == spellings[0]
-                for alias in spellings[1:]:
-                    match |= names == alias
-                rows = np.flatnonzero(match)
+        groups, failed = [], []
+        for key, (shard, at) in placed.items():
+            if isinstance(shard, Exception):
+                failed.extend((i, shard) for i in at)
+                continue
+            if len(placed) == 1:  # one venue: the caller's rows
+                rows, part = np.arange(len(venues)), fingerprints
+            else:
+                at.sort()  # spellings of one shard interleave
+                rows = np.asarray(at)
                 part = (
                     fingerprints[rows] if dense
-                    else [fingerprints[i] for i in rows]
+                    else [fingerprints[i] for i in at]
                 )
-            if not dense:
-                try:
-                    part = np.asarray(np.stack(part), dtype=float)
-                except (TypeError, ValueError):
-                    raise ServingError(
-                        f"venue {key!r} expects ({shard.n_aps},) "
-                        "fingerprints"
-                    ) from None
-            groups.append(_Group(key, shard, rows, shard._validate(part)))
-        return groups
+            if dense and part.shape[1] == shard.n_aps:
+                stack = np.asarray(part, dtype=float)
+                groups.append(_Group(key, shard, rows, stack))
+                continue
+            want = (shard.n_aps,)
+            fits = [np.shape(row) == want for row in part]
+            if not all(fits):
+                error = ServingError(f"venue {key!r} expects {want} scans")
+                failed.extend(
+                    (int(i), error) for i, fit in zip(rows, fits) if not fit
+                )
+                rows = rows[np.asarray(fits, dtype=bool)]
+                part = [row for row, fit in zip(part, fits) if fit]
+            if len(rows):
+                stack = np.asarray(np.stack(part), dtype=float)
+                groups.append(_Group(key, shard, rows, stack))
+        return groups, failed
 
     def _probe(
         self, keys: Sequence[CacheKey], out: np.ndarray

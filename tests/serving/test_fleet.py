@@ -290,6 +290,128 @@ def test_fleet_resubmits_inflight_requests_after_crash(city):
     np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("late_bundle", [False, True])
+def test_fleet_resubmits_each_buffered_row_once_after_crash(
+    city, late_bundle
+):
+    """Rows still buffered when their worker dies are in flight too:
+    the replacement worker serves each of them exactly once — also
+    when a flush took them from the buffer before the crash and sends
+    them after the respawn (``late_bundle``)."""
+    store, mapping, pools, shards = city
+    venue = sorted(mapping)[0]
+    schedule = [(venue, row) for row in pools[venue]]
+    expected = baseline_answers(shards, schedule)
+    # No background flush: the rows stay buffered until we say so.
+    with ShardFleet(
+        store,
+        mapping,
+        workers=2,
+        bundle_size=10_000,
+        flush_interval_ms=60_000.0,
+    ) as fleet:
+        victim = fleet.partition(venue)
+        worker = fleet._workers[victim]
+        tickets = fleet.submit_many(schedule)
+        if late_bundle:
+            with fleet._mu:  # what flush() does before it sends
+                bundle, generation = worker.buffer, worker.generation
+                worker.buffer = []
+        pid = worker.proc.pid
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while worker.proc.pid == pid:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        if late_bundle:
+            fleet._send(worker, ("batch", bundle), generation)
+        fleet.flush()
+        got = np.stack([t.result(timeout=60.0) for t in tickets])
+        stats = fleet.stats()
+    np.testing.assert_array_equal(got, expected)
+    assert stats.respawns == 1
+    assert stats.workers[victim].requests == len(schedule) == 8
+
+
+def test_fleet_stats_after_close_returns_final_stats_at_once(city):
+    store, mapping, pools, _ = city
+    schedule = fleet_schedule(
+        pools, 40, np.random.default_rng(3), zipf_exponent=1.1
+    )
+    fleet = ShardFleet(store, mapping, workers=2).start()
+    tickets = fleet.submit_many(schedule)
+    fleet.flush()
+    for ticket in tickets:
+        ticket.result(timeout=60.0)
+    fleet.close()
+    t0 = time.monotonic()
+    stats = fleet.stats()
+    assert time.monotonic() - t0 < 1.0
+    owned = [0, 0]
+    for venue, _ in schedule:
+        owned[fleet.partition(venue)] += 1
+    assert [w.requests for w in stats.workers] == owned
+    assert stats.requests == len(schedule)
+
+
+def test_fleet_unloadable_venue_fails_only_its_rows(city, tmp_path):
+    """A venue whose artifact turns to garbage after the mapping was
+    built fails its own rows with the load error; the venues sharing
+    its tick answer as if it were not there."""
+    _, mapping, pools, shards = city
+    store = ArtifactStore(tmp_path)
+    for venue, shard in shards.items():
+        shard.save(store.path_for(venue))
+    broken = sorted(mapping)[0]
+    schedule = fleet_schedule(
+        pools, 64, np.random.default_rng(13), zipf_exponent=1.1
+    )
+    bad = [i for i, (venue, _) in enumerate(schedule) if venue == broken]
+    assert 0 < len(bad) < len(schedule)
+    expected = baseline_answers(shards, schedule)
+    with ShardFleet(
+        store, mapping, workers=2, bundle_size=10_000
+    ) as fleet:
+        store.path_for(broken).write_bytes(b"not an artifact" * 64)
+        tickets = fleet.submit_many(schedule)
+        fleet.flush()
+        for i, ticket in enumerate(tickets):
+            if i in bad:
+                with pytest.raises(ServingError, match="ArtifactError"):
+                    ticket.result(timeout=60.0)
+            else:
+                np.testing.assert_array_equal(
+                    ticket.result(timeout=60.0), expected[i]
+                )
+        stats = fleet.stats()
+    assert stats.errors == len(bad)
+
+
+def test_fleet_budget_below_one_shard_serves_multi_venue_ticks(city):
+    """Every load in a tick evicts the venue grouped before it; the
+    groups keep the shards they resolved, so the tick still answers
+    bit-identically."""
+    store, mapping, pools, shards = city
+    schedule = fleet_schedule(
+        pools, 64, np.random.default_rng(17), zipf_exponent=1.1
+    )
+    expected = baseline_answers(shards, schedule)
+    with ShardFleet(
+        store,
+        mapping,
+        workers=2,
+        bundle_size=10_000,
+        memory_budget_mb=1e-6,
+    ) as fleet:
+        tickets = fleet.submit_many(schedule)
+        fleet.flush()
+        got = np.stack([t.result(timeout=60.0) for t in tickets])
+        stats = fleet.stats()
+    np.testing.assert_array_equal(got, expected)
+    assert stats.evictions > 0
+    assert stats.errors == 0
+
+
 def test_fleet_close_fails_leftover_tickets(city):
     store, mapping, pools, _ = city
     fleet = ShardFleet(store, mapping, workers=2, bundle_size=10_000)
@@ -341,8 +463,17 @@ def test_fleet_merges_worker_telemetry(city):
     }
     assert workers_seen == {"0", "1"}
     # Sampled worker serve spans were ingested into the fleet view.
+    # A sampled tick is one worker.serve root with a shard:<key>
+    # span per venue it served.
     spans = telemetry.spans()
-    assert any(s["name"] == "worker.serve" for s in spans)
+    roots = [s for s in spans if s["name"] == "worker.serve"]
+    assert roots
+    assert all(
+        child["name"].startswith("shard:")
+        for root in roots
+        for child in root["children"]
+    )
+    assert any(root["children"] for root in roots)
     # The FleetStats view stayed faithful to the same registry.
     assert stats.requests == len(schedule)
     assert stats.errors == 0

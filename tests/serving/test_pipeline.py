@@ -209,6 +209,96 @@ class TestCoalescing:
         assert elapsed < 2.0  # deadline fired, not stuck forever
 
 
+def queued_pipeline(svc):
+    """A pipeline that queues submits until :func:`start_flusher`, so
+    they all land in one flush."""
+    pipeline = ServingPipeline(svc, max_delay_ms=500.0)
+    with pipeline._mu:
+        pipeline._started = True
+    return pipeline
+
+
+def start_flusher(pipeline):
+    pipeline._thread = threading.Thread(target=pipeline._run, daemon=True)
+    pipeline._thread.start()
+
+
+class BrokenCompletion:
+    def complete(self, queries):
+        raise RuntimeError("completion failed")
+
+
+class TestFailureContainment:
+    """A venue that fails inside a flush fails only its own tickets."""
+
+    @pytest.fixture
+    def twin(self, kaide_smoke):
+        def make(cache_size):
+            svc = PositioningService(cache_size=cache_size)
+            for name in ("good", "bad"):
+                svc.deploy(
+                    name,
+                    kaide_smoke.radio_map,
+                    MAROnlyDifferentiator(),
+                    estimator=WKNNEstimator(),
+                )
+            return svc
+
+        return make
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_unregister_mid_queue_fails_only_that_venue(
+        self, twin, kaide_smoke, cache_size
+    ):
+        svc = twin(cache_size)
+        good, bad = scans(kaide_smoke, 2, 40)
+        alone = svc.shard("good").locate(good[None])[0]
+        pipeline = queued_pipeline(svc)
+        t_good = pipeline.submit("good", good)
+        t_bad = pipeline.submit("bad", bad)
+        svc.unregister("bad")
+        start_flusher(pipeline)
+        np.testing.assert_array_equal(t_good.result(timeout=5.0), alone)
+        with pytest.raises(ServingError, match="unknown venue 'bad'"):
+            t_bad.result(timeout=5.0)
+        pipeline.stop()
+        assert pipeline.stats.batches == 1
+        assert (pipeline.stats.flushed, pipeline.stats.failed) == (1, 1)
+        assert svc.stats.queries == 1
+        assert svc.stats.per_venue == {"good": 1}
+
+    def test_raising_completion_fails_only_its_venue(
+        self, twin, kaide_smoke
+    ):
+        svc = twin(64)
+        shard = svc.shard("bad")
+        shard._pipeline = shard._pipeline[:3] + (BrokenCompletion(),)
+        rows = scans(kaide_smoke, 4, 41)
+        # good rows 0, 1 and a repeat of 0 (an in-batch hit).
+        items = [
+            ("good", rows[0]), ("bad", rows[2]), ("good", rows[1]),
+            ("bad", rows[3]), ("good", rows[0]),
+        ]
+        expected = svc.shard("good").locate(rows[[0, 1, 0]])
+        pipeline = queued_pipeline(svc)
+        tickets = [pipeline.submit(venue, row) for venue, row in items]
+        start_flusher(pipeline)
+        got = [tickets[i].result(timeout=5.0) for i in (0, 2, 4)]
+        np.testing.assert_array_equal(np.stack(got), expected)
+        for i in (1, 3):
+            with pytest.raises(RuntimeError, match="completion failed"):
+                tickets[i].result(timeout=5.0)
+        pipeline.stop()
+        assert pipeline.stats.failed == 2
+        stats = svc.stats
+        assert stats.queries == stats.cache_hits + stats.cache_misses
+        assert sum(stats.per_venue.values()) == stats.queries
+        assert stats.per_venue == {"good": 3}
+        assert (stats.cache_hits, stats.cache_misses) == (1, 2)
+        # Only the healthy venue's answers were cached.
+        assert {k[0] for k in svc._cache} == {"good"}
+
+
 class TestFastPath:
     def test_cache_hit_resolves_at_submit(self, service, kaide_smoke):
         fp = scans(kaide_smoke, 1, 10)[0]

@@ -721,6 +721,44 @@ class TestServeCore:
         assert len(seen) == 1
         assert np.shares_memory(seen[0], batch)
 
+    def test_wrong_width_row_rejected_before_any_side_effect(
+        self, core_shards, kaide_smoke
+    ):
+        svc = PositioningService(cache_size=64)
+        svc.register(core_shards["north"])
+        a, b = scans(kaide_smoke, 2, 74)
+        with pytest.raises(ServingError, match="'north' expects"):
+            svc.query_batch(["north"] * 3, [a, b[:-1], b])
+        assert svc.stats.queries == svc.stats.batches == 0
+        assert not svc._cache
+
+    def test_locate_failure_reraised_after_other_venues_served(
+        self, core_shards, kaide_smoke
+    ):
+        """The healthy venue of a batch is served, cached and counted;
+        then the failing venue's error reaches the caller."""
+        svc = PositioningService(cache_size=64)
+        svc.register(core_shards["north"])
+        broken = VenueShard.build(
+            "south", kaide_smoke.radio_map, MAROnlyDifferentiator()
+        )
+
+        def failing_locate(queries, tracer=None):
+            raise RuntimeError("locate failed")
+
+        broken.locate = failing_locate
+        svc.register(broken)
+        a, b = scans(kaide_smoke, 2, 75)
+        with pytest.raises(RuntimeError, match="locate failed"):
+            svc.query_batch(["south", "north"], np.stack([a, b]))
+        stats = svc.stats
+        assert stats.per_venue == {"north": 1}
+        assert stats.queries == stats.cache_misses == 1
+        np.testing.assert_array_equal(
+            svc.query("north", b), core_shards["north"].locate(b[None])[0]
+        )
+        assert svc.stats.cache_hits == 1
+
     @pytest.mark.parametrize("form", ["ndarray", "list"])
     def test_shard_key_rows_share_the_venue(self, kaide_smoke, form):
         svc = PositioningService(cache_size=64)
