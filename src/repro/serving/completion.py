@@ -11,8 +11,10 @@ decision instead:
   fully-imputed radio-map tensor is precomputed once at artifact-build
   time; at serve time a query's missing APs are filled from its
   nearest map records *measured over the observed APs only* (masked
-  KNN against the precomputed tensor — one float32 bound GEMM, then
-  the estimator's exact finish; no encoder).
+  KNN against the precomputed tensor — one float32 bound GEMM, over
+  only the buckets of the shard's spatial index that can hold a
+  neighbour when it has one, then the estimator's exact finish; no
+  encoder).
   Fully-missing queries fall back to the per-AP fill values.
 * :class:`MeanFillCompletion` — per-AP mean fill, the instant-deploy
   path for venues without a trained BiSIM.
@@ -27,13 +29,15 @@ across threads; ``complete`` never mutates its input.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import time
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..artifacts import backed_by_memmap
 from ..bisim import OnlineImputer
 from ..exceptions import ServingError
+from ..obs.trace import current_span
 from ..positioning.index import pair_exact_sq_dists, select_k_nearest
 
 __all__ = [
@@ -48,8 +52,16 @@ __all__ = [
 #: :class:`MapCompletion`) with 2x slack, doubled for the threshold.
 _BOUND_MARGIN = 4.0 * float(np.finfo(np.float32).eps)
 
-#: Map elements per chunk while building the bound matrix.
+#: Float64 elements per chunk: of the map while building the bound
+#: matrix, and of a batch's box-bound temporaries.
 _BUILD_CHUNK = 1 << 17
+
+#: Once the buckets a batch must read hold this share of the map, it
+#: reads all of it.  Further rows can only add buckets, and past this
+#: share bounding them costs more than reading the rest of ``W``: on
+#: a 32768 × 96 map the buckets of a 2-row batch hold a median 61% of
+#: the rows, of a 4-row batch 86% and of an 8-row batch 99%.
+_SWEEP_ALL = 0.75
 
 #: Up to this many difference elements (batch rows × records × APs) a
 #: batch scans every record exactly instead of using the bound.  Below
@@ -111,13 +123,33 @@ class EncoderCompletion:
         return 0
 
 
+class _Bound(NamedTuple):
+    """:class:`MapCompletion`'s bound state (see its docstring)."""
+
+    #: The per-AP centre ``c``.
+    centre: np.ndarray
+    #: ``W = [C∘C | C]`` in float32, in bucket order when partitioned.
+    w: np.ndarray
+    #: ``2·max_r ‖C_r‖²``.
+    c2max2: float
+    #: Record id of each row of ``w`` (``None``: record order).
+    perm: Optional[np.ndarray] = None
+    #: Row offsets of the non-empty buckets in ``w``.
+    offsets: Optional[np.ndarray] = None
+    #: Per-bucket boxes of ``C``: the centre and half-width of the
+    #: float64 min and max per AP.
+    mid: Optional[np.ndarray] = None
+    half: Optional[np.ndarray] = None
+
+
 class MapCompletion:
     """Masked-KNN completion against the precomputed imputed map.
 
     ``precomputed`` is the fully-imputed ``(n_records, n_aps)``
     radio-map tensor written at artifact-build time (it may be a
     read-only memory map).  A query's missing APs are filled with the
-    mean, taken in record order, of its ``k`` nearest map records.
+    mean, taken in record order, of its ``k`` (at least 1) nearest map
+    records.
     Nearness is the squared distance over the query's *observed* APs
     only, computed exactly as ``pair_exact_sq_dists(q_zeroed, record *
     mask)``, with ties broken toward the smaller record index — the
@@ -166,6 +198,40 @@ class MapCompletion:
     not all finite (a huge reading overflowing float32, say) keeps no
     candidates and takes the finish's exact scan of every record.
 
+    *Buckets.*  A shard whose estimator has a
+    :class:`~repro.positioning.SpatialIndex` over as many records as
+    the map hands the index's bucket assignment to its completion.
+    ``W`` is then laid out in bucket order, and each non-empty bucket
+    keeps a box: the float64 min and max of ``C`` per AP, stored as
+    the interval's centre and half-width.
+
+    - *Lower bound.*  Restricted to a row's heard APs, a box gives
+      ``lb = Σ_j gap_j²``, where ``gap_j`` is the distance from
+      ``q_c,j`` to the box's interval on AP ``j``.  Each member's
+      centred readings lie inside the box, so ``lb`` is at most every
+      member's masked distance ``d_r``.  Its float64 roundings are
+      again ~``2^-29`` of the margin.
+    - *Upper bound.*  The row probes its buckets in ``lb`` order until
+      they hold ``k`` records.  By the margin argument, their ``s``
+      give ``d_(k) ≤ ‖q_c‖² + s_(k) + margin``.
+    - *Pruning.*  A bucket with ``lb > ‖q_c‖² + s_(k) + 2·margin``
+      has ``d_r > d_(k)`` for every member (the second margin covers
+      ``lb``'s roundings).  It holds no neighbour of the row and no
+      record tied with the k-th, so the row need not read it.
+    - *Sweep.*  A batch sweeps the union of its rows' surviving
+      buckets, one GEMM per run of consecutive buckets.  Every record
+      at or below a row's ``d_(k)`` lies in that union, so the k
+      smallest ``s`` over it bound ``d_(k)`` as over the whole map,
+      and the threshold keeps every neighbour as above.  Reading more
+      buckets than that is always safe: once the union holds
+      :data:`_SWEEP_ALL` of the rows, the batch reads all of ``W``.
+    - *Non-finite.*  A row whose upper bound is not finite reads every
+      bucket.  If its ``s`` is not all finite either, it takes the
+      exact scan as above.
+
+    Any partition keeps the answer exact; the index's only makes the
+    bound tight.  Without one, a batch sweeps all of ``W``.
+
     A memory-mapped tensor is served *in place*: ``W`` (the same
     bytes as a float64 copy of the map) is the only derived matrix,
     and the exact finish gathers only the candidate records.  A shard
@@ -180,6 +246,8 @@ class MapCompletion:
         *,
         k: int = 3,
     ):
+        if int(k) < 1:
+            raise ServingError(f"completion needs k >= 1, got {k}")
         if not isinstance(precomputed, np.ndarray):
             precomputed = np.asarray(precomputed)
         if precomputed.ndim != 2 or precomputed.shape[0] == 0:
@@ -201,13 +269,28 @@ class MapCompletion:
             else np.asarray(fill_values, dtype=float)
         )
         self.k = int(k)
-        self._bound: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        self._assign: Optional[np.ndarray] = None
+        self._bound: Optional[_Bound] = None
 
-    def _bound_state(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(centre, W, 2·max_r ‖C_r‖²)``, built on first use.
+    def _partition(self, assign: np.ndarray) -> None:
+        """Serve through the buckets of ``assign`` (a non-negative
+        bucket id per record), as the class docstring describes.
+
+        The owning shard calls this before the completion serves;
+        ``W`` is rebuilt in bucket order on the next batch that needs
+        it.
+        """
+        if assign is not self._assign:
+            self._assign = np.asarray(assign, dtype=np.int64)
+            self._bound = None
+
+    def _bound_state(self) -> _Bound:
+        """The bound state, built on first use.
 
         ``W`` is filled in row chunks, so the transient memory is one
-        float64 chunk on top of ``W`` itself.
+        float64 chunk on top of ``W`` itself.  With a partition, each
+        chunk gathers its records in bucket order and widens the boxes
+        of the buckets it overlaps.
         """
         if self._bound is None:
             t = self.precomputed
@@ -215,19 +298,103 @@ class MapCompletion:
             # A plain array even when ``t`` is a memory map.
             centre = np.array(t.mean(axis=0), dtype=float)
             w = np.empty((n, 2 * d), dtype=np.float32)
+            perm = offsets = lo = hi = None
+            if self._assign is not None:
+                perm = np.argsort(self._assign, kind="stable")
+                sizes = np.bincount(self._assign)
+                offsets = np.concatenate(
+                    ([0], np.cumsum(sizes[sizes > 0]))
+                )
+                lo = np.full((offsets.size - 1, d), np.inf)
+                hi = np.full((offsets.size - 1, d), -np.inf)
             c2max = 0.0
             step = max(1, _BUILD_CHUNK // d)
             for s in range(0, n, step):
-                c = t[s : s + step] - centre
+                if perm is None:
+                    c = t[s : s + step] - centre
+                else:
+                    e = min(s + step, n)
+                    c = t[perm[s:e]]
+                    c -= centre
+                    # Widen the boxes of the buckets rows [s, e) meet.
+                    first = np.searchsorted(offsets, s, "right") - 1
+                    for j in range(first, np.searchsorted(offsets, e)):
+                        part = c[
+                            max(offsets[j] - s, 0) : offsets[j + 1] - s
+                        ]
+                        np.minimum(lo[j], part.min(axis=0), out=lo[j])
+                        np.maximum(hi[j], part.max(axis=0), out=hi[j])
                 w[s : s + step, d:] = c
                 c *= c
                 w[s : s + step, :d] = c
                 c2max = max(c2max, float(c.sum(axis=1).max()))
-            self._bound = (centre, w, 2.0 * c2max)
+            mid = half = None
+            if perm is not None:
+                mid = (lo + hi) / 2.0
+                half = np.maximum(hi - mid, mid - lo)
+            self._bound = _Bound(
+                centre, w, 2.0 * c2max, perm, offsets, mid, half
+            )
         return self._bound
 
+    @staticmethod
+    def _surviving_runs(
+        state: _Bound,
+        a: np.ndarray,
+        qc: np.ndarray,
+        mask: np.ndarray,
+        base: np.ndarray,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)``: the row runs of ``w`` a batch sweeps.
+
+        ``base`` is ``‖q_c‖² + 2·margin`` per row; a bucket survives
+        for a row unless its box bound exceeds ``base + s_(k)`` of the
+        row's probe (see *Buckets* in the class docstring).
+        """
+        w, off = state.w, state.offsets
+        sizes = np.diff(off)
+        heard = mask.astype(float)
+        # ``union[1:-1]`` flags the buckets some row must read.
+        union = np.zeros(sizes.size + 2, dtype=bool)
+        step = max(1, _BUILD_CHUNK // state.mid.size)
+        for r in range(0, qc.shape[0], step):
+            # Box bounds over each row's heard APs: (rows, buckets).
+            gap = qc[r : r + step, None] - state.mid
+            np.abs(gap, out=gap)
+            gap -= state.half
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            lb = np.matmul(gap, heard[r : r + step, :, None])[..., 0]
+            for i, row in enumerate(lb, start=r):
+                # Probe the nearest buckets until they hold k records.
+                near = [int(row.argmin())]
+                if sizes[near[0]] < k:
+                    order = np.argsort(row)
+                    held = np.cumsum(sizes[order])
+                    near = order[: np.searchsorted(held, k) + 1]
+                s = np.concatenate(
+                    [w[off[j] : off[j + 1]] @ a[i] for j in near]
+                )
+                limit = base[i] + np.partition(s, k - 1)[k - 1]
+                if not np.isfinite(limit):
+                    return off[:1], off[-1:]
+                # A NaN bound (an overflowing box) keeps its bucket.
+                union[1:-1] |= ~(row > limit)
+                if sizes[union[1:-1]].sum() >= _SWEEP_ALL * off[-1]:
+                    return off[:1], off[-1:]
+        edges = np.flatnonzero(union[1:] != union[:-1])
+        return off[edges[::2]], off[edges[1::2]]
+
     def _nearest(self, qz: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """``(b, k)`` masked nearest-record ids, in record order."""
+        """``(b, k)`` masked nearest-record ids, in record order.
+
+        Inside a traced batch the bound path records
+        ``completion.bound``, ``completion.gemm`` (meta ``rows_read``,
+        the rows of ``W`` the sweep read) and ``completion.finish``
+        (meta ``candidates``) as children of the active span;
+        otherwise nothing is timed.
+        """
         b = qz.shape[0]
         n, d = self.precomputed.shape
         k = min(self.k, n)
@@ -239,32 +406,69 @@ class MapCompletion:
             )
             ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
             return np.sort(ids, axis=1)
-        centre, w, c2max2 = self._bound_state()
+        span = current_span()
+        tick = time.perf_counter if span is not None else (lambda: 0.0)
+        t0 = tick()
+        state = self._bound_state()
+        w = state.w
         a = np.empty((b, 2 * d), dtype=np.float32)
         a[:, :d] = mask
         with np.errstate(over="ignore", invalid="ignore"):
-            qc = qz - centre
+            qc = qz - state.centre
             qc *= mask
             np.multiply(qc, -2.0, out=a[:, d:], casting="same_kind")
-            # ``W @ aᵀ`` is the faster GEMM at the small batches serving
-            # sees; the (b, N) copy makes the row scans contiguous.
-            s = np.ascontiguousarray((w @ a.T).T)
-            margin2 = _BOUND_MARGIN * (d + 2) * (
-                np.einsum("ij,ij->i", qc, qc) + c2max2
-            )
+            qc2 = np.einsum("ij,ij->i", qc, qc)
+            margin2 = _BOUND_MARGIN * (d + 2) * (qc2 + state.c2max2)
+            if state.perm is None:
+                t1 = tick()
+                # ``W @ aᵀ`` is the faster GEMM at the small batches
+                # serving sees; the (b, N) copy makes the row scans
+                # contiguous.
+                s = np.ascontiguousarray((w @ a.T).T)
+            else:
+                starts, ends = self._surviving_runs(
+                    state, a, qc, mask, qc2 + margin2, k
+                )
+                t1 = tick()
+                lens = ends - starts
+                dst = np.cumsum(lens) - lens
+                sweep = np.empty((int(lens.sum()), b), dtype=np.float32)
+                for r0, r1, p in zip(starts, ends, dst):
+                    np.matmul(w[r0:r1], a.T, out=sweep[p : p + r1 - r0])
+                s = np.ascontiguousarray(sweep.T)
+            t2 = tick()
             thr = np.partition(s, k - 1, axis=1)[:, k - 1] + margin2
             finite = np.isfinite(s).all(axis=1)
             if not finite.all():
                 # No candidates: the finish scans every record instead.
                 thr[~finite] = np.nan
             keep = s <= thr.astype(np.float32)[:, None]
-        qi, ri = np.divmod(np.flatnonzero(keep), n)
+        qi, ri = np.divmod(np.flatnonzero(keep), s.shape[1])
+        if state.perm is not None:
+            # Sweep column → row of ``w`` → record id.
+            run = np.searchsorted(dst, ri, "right") - 1
+            ri = state.perm[starts[run] + (ri - dst[run])]
         if qi.size == b * k and (np.bincount(qi, minlength=b) == k).all():
             # k candidates per row contain the k nearest, so they are
-            # them; ``ri`` is already in record order.
-            return ri.reshape(b, k)
-        ids = select_k_nearest(qz, self.precomputed, k, qi, ri, mask)[1]
-        return np.sort(ids, axis=1)
+            # them.
+            ids = np.sort(ri.reshape(b, k), axis=1)
+        else:
+            ids = select_k_nearest(qz, self.precomputed, k, qi, ri, mask)[1]
+            ids = np.sort(ids, axis=1)
+        if span is not None:
+            t3 = time.perf_counter()
+            span.child("completion.bound", duration=t1 - t0)
+            span.child(
+                "completion.gemm",
+                duration=t2 - t1,
+                meta={"rows_read": int(s.shape[1])},
+            )
+            span.child(
+                "completion.finish",
+                duration=t3 - t2,
+                meta={"candidates": int(qi.size)},
+            )
+        return ids
 
     def complete(self, queries: np.ndarray) -> np.ndarray:
         q = np.asarray(queries, dtype=float)
@@ -300,8 +504,11 @@ class MapCompletion:
         if not backed_by_memmap(self.precomputed):
             n += int(self.precomputed.nbytes)
         if self._bound is not None:
-            centre, w, _ = self._bound
-            n += int(centre.nbytes + w.nbytes)
+            n += sum(
+                int(a.nbytes)
+                for a in self._bound
+                if isinstance(a, np.ndarray)
+            )
         if self.fill_values is not None:
             n += int(self.fill_values.nbytes)
         return n

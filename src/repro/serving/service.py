@@ -150,6 +150,31 @@ Pipeline = Tuple[
 ]
 
 
+def _with_buckets(pipeline: Pipeline) -> Pipeline:
+    """``pipeline``, its map completion sweeping the index's buckets.
+
+    When the estimator's spatial index covers as many records as the
+    completion map, the completion lays its bound out in the index's
+    buckets and skips the ones that cannot hold a neighbour (see
+    :class:`~repro.serving.completion.MapCompletion`).  Any partition
+    keeps the fills exact, so a map the index was not built on only
+    prunes less.
+    """
+    estimator, _, _, completion = pipeline
+    index = (
+        estimator.index
+        if isinstance(estimator, NearestNeighbourEstimator)
+        else None
+    )
+    if (
+        isinstance(completion, MapCompletion)
+        and index is not None
+        and index.n_records == completion.precomputed.shape[0]
+    ):
+        completion._partition(index.assign)
+    return pipeline
+
+
 @dataclass
 class ServiceStats:
     """Latency/throughput counters of one :class:`PositioningService`.
@@ -360,11 +385,8 @@ class VenueShard:
         self.n_aps = int(n_aps)
         if completion is None:
             completion = completion_from(online_imputer, fill_values)
-        self._pipeline: Pipeline = (
-            estimator,
-            online_imputer,
-            fill_values,
-            completion,
+        self._pipeline: Pipeline = _with_buckets(
+            (estimator, online_imputer, fill_values, completion)
         )
         self._source: Optional[_ShardSource] = None
         #: True when a warm start could not validate its precomputed
@@ -605,9 +627,9 @@ class VenueShard:
         """``(completion, is_fallback)`` for a loaded shard artifact.
 
         Validates the precomputed tensor against the manifest's
-        declared shape and (with ``verify``) SHA-256; any mismatch
-        degrades to the legacy on-the-fly completion instead of
-        raising.
+        declared shape and (with ``verify``) SHA-256, and the
+        manifest's ``k`` (at least 1); any mismatch degrades to the
+        legacy on-the-fly completion instead of raising.
         """
         spec = artifact.config.get("precomputed")
         if spec is None:
@@ -617,8 +639,11 @@ class VenueShard:
             # serve path the precompute was meant to retire.
             return completion_from(online, fill_values), online is not None
         tensor = artifact.arrays.get("precomputed")
-        valid = tensor is not None and list(tensor.shape) == list(
-            spec.get("shape", [])
+        k = int(spec.get("k", 3))
+        valid = (
+            k >= 1
+            and tensor is not None
+            and list(tensor.shape) == list(spec.get("shape", []))
         )
         if valid and verify:
             valid = (
@@ -632,12 +657,7 @@ class VenueShard:
             if isinstance(fallback, EncoderCompletion):
                 fallback.fallback = True
             return fallback, True
-        return (
-            MapCompletion(
-                tensor, fill_values, k=int(spec.get("k", 3))
-            ),
-            False,
-        )
+        return MapCompletion(tensor, fill_values, k=k), False
 
     def reload(self, path) -> None:
         """Hot-swap this shard's pipeline from a shard artifact.
@@ -807,11 +827,13 @@ class VenueShard:
                 dirty, new_rows, old_rows,
             )
             return _PreparedUpdate(
-                pipeline=(
-                    estimator,
-                    online,
-                    fill_values,
-                    MapCompletion(fp_c, fill_values),
+                pipeline=_with_buckets(
+                    (
+                        estimator,
+                        online,
+                        fill_values,
+                        MapCompletion(fp_c, fill_values),
+                    )
                 ),
                 source=_ShardSource(
                     merged, src.differentiator, mask, fp_c, rps_c

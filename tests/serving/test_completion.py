@@ -6,7 +6,8 @@ take the mean (in record order) of the k records nearest over the
 go to the smaller record id, the same finish the estimator uses.  The
 oracle below computes that from its definition; every row must match
 it bit for bit, alone or in any batch, in memory or memory-mapped,
-whether its batch took the small-batch exact scan or the float32 bound.
+whether its batch took the small-batch exact scan, the float32 bound
+over the whole map, or the bound over the buckets of a partition.
 """
 
 import tempfile
@@ -19,19 +20,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.artifacts import backed_by_memmap
+from repro.bisim import BiSIMConfig
+from repro.core import MNAROnlyDifferentiator
+from repro.datasets import make_dataset
+from repro.exceptions import ServingError
+from repro.ingest import StreamIngestor, simulate_new_survey
+from repro.obs import Tracer
 from repro.positioning import (
+    SpatialIndex,
     WKNNEstimator,
     canonical_k_smallest,
     pairwise_sq_dists,
 )
-from repro.serving import MapCompletion, VenueShard
+from repro.radiomap import RadioMapBuilder
+from repro.serving import MapCompletion, VenueShard, scan_pool
 from repro.serving import completion as completion_module
 
-PATHS = ("scan", "bound")
+PATHS = ("scan", "bound", "buckets")
 
 
 def forced(path):
-    """Send every batch down one path: the exact scan or the bound."""
+    """Send every batch down one path: the exact scan or the bound
+    (over the whole map or, given a partition, its buckets)."""
     limit = 1 << 62 if path == "scan" else 0
     return mock.patch.object(completion_module, "_SCAN_ELEMS", limit)
 
@@ -40,6 +50,18 @@ def forced(path):
 def path(request):
     with forced(request.param):
         yield request.param
+
+
+def completer(fp, fill, path, k=3, assign=None):
+    """A completion for ``path``; ``"buckets"`` partitions the map
+    (by ``assign``, or into a few random buckets)."""
+    completion = MapCompletion(fp, fill, k=k)
+    if path == "buckets":
+        if assign is None:
+            rng = np.random.default_rng(len(fp))
+            assign = rng.integers(0, 7, len(fp))
+        completion._partition(assign)
+    return completion
 
 
 def oracle(fp, queries, k, fill):
@@ -83,7 +105,7 @@ class TestCanonicalTies:
         # Masked distances: record 0 → 4, record 4 → 8, and records 1
         # and 5 tie at 10 for the third slot.  Record 1 wins, so the
         # fill is the mean of records 0, 1 and 4.
-        out = MapCompletion(fp, fp.mean(axis=0), k=3).complete(query)
+        out = completer(fp, fp.mean(axis=0), path).complete(query)
         assert out[0, 2] == np.mean([-60.0, -53.0, -56.0])
         np.testing.assert_array_equal(
             out, oracle(fp, query, 3, fp.mean(axis=0))
@@ -95,7 +117,7 @@ class TestCanonicalTies:
         queries = fp[rng.integers(0, 3000, 32)]
         queries += rng.integers(-3, 4, size=queries.shape)
         queries[rng.random(queries.shape) < 0.4] = np.nan
-        completion = MapCompletion(fp, fp.mean(axis=0), k=4)
+        completion = completer(fp, fp.mean(axis=0), path, k=4)
         np.testing.assert_array_equal(
             completion.complete(queries),
             oracle(fp, queries, 4, fp.mean(axis=0)),
@@ -112,7 +134,7 @@ class TestHugeReadings:
         query = fp[5].copy()
         query[1] = np.nan
         query[0] = 1e300
-        completion = MapCompletion(fp, fp.mean(axis=0), k=3)
+        completion = completer(fp, fp.mean(axis=0), path)
         with np.errstate(over="ignore"):
             out = completion.complete(query[None, :])
         assert out[0, 1] == fp[:3, 1].mean()
@@ -127,7 +149,7 @@ class TestHugeReadings:
         batch[rng.random(batch.shape) < 0.3] = np.nan
         batch[:, 0] = -60.0
         batch[2, 0] = -1e300
-        completion = MapCompletion(fp, fp.mean(axis=0))
+        completion = completer(fp, fp.mean(axis=0), path)
         with np.errstate(over="ignore"):
             out = completion.complete(batch)
             expected = oracle(fp, batch, 3, fp.mean(axis=0))
@@ -137,13 +159,83 @@ class TestHugeReadings:
                 completion.complete(batch[i : i + 1])[0], out[i]
             )
 
+    def test_hostile_rows_on_index_buckets(self):
+        """±1e300 readings beside ordinary rows, on the buckets of a
+        real spatial index: each row matches the oracle and its own
+        single-row answer."""
+        rng = np.random.default_rng(8)
+        fp = rng.uniform(-95.0, -20.0, size=(1200, 10))
+        batch = fp[rng.integers(0, 1200, 6)] + rng.normal(0, 2, (6, 10))
+        batch[rng.random(batch.shape) < 0.3] = np.nan
+        batch[:, 0] = -60.0
+        batch[1, 3] = 1e300
+        batch[4, 0] = -1e300
+        assign = SpatialIndex.build(fp).assign
+        assert np.unique(assign).size > 1
+        with forced("buckets"), np.errstate(over="ignore"):
+            completion = completer(
+                fp, fp.mean(axis=0), "buckets", assign=assign
+            )
+            out = completion.complete(batch)
+            np.testing.assert_array_equal(
+                out, oracle(fp, batch, 3, fp.mean(axis=0))
+            )
+            for i in range(len(batch)):
+                np.testing.assert_array_equal(
+                    completion.complete(batch[i : i + 1])[0], out[i]
+                )
+
+
+class TestContract:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        fp = np.zeros((4, 2))
+        with pytest.raises(ServingError, match="k >= 1"):
+            MapCompletion(fp, fp.mean(axis=0), k=k)
+
+    def test_traced_batch_records_completion_stages(self):
+        rng = np.random.default_rng(6)
+        fp = rng.uniform(-95.0, -20.0, size=(800, 8))
+        scans = fp[:3] + rng.normal(0.0, 2.0, size=(3, 8))
+        scans[:, 1] = np.nan
+        completion = completer(
+            fp, fp.mean(axis=0), "buckets",
+            assign=SpatialIndex.build(fp).assign,
+        )
+        tracer = Tracer(sample_every=1)
+        root = tracer.start("batch")
+        with forced("buckets"), tracer.activate(root):
+            completion.complete(scans)
+        stages = {c.name: c for c in root.children}
+        assert list(stages) == [
+            "completion.bound", "completion.gemm", "completion.finish"
+        ]
+        assert 3 <= stages["completion.gemm"].meta["rows_read"] <= 800
+        assert stages["completion.finish"].meta["candidates"] >= 9
+        # Untraced, nothing is timed.
+        with forced("buckets"):
+            completion.complete(scans)
+        assert len(root.children) == 3
+
+
+def partition(draw, rng, n):
+    """Any partition keeps the fills exact: random ids with empty
+    buckets between them, one bucket, or a bucket per record."""
+    kind = draw(st.sampled_from(("random", "one", "singletons")))
+    if kind == "one":
+        return np.zeros(n, dtype=np.int64)
+    if kind == "singletons":
+        return rng.permutation(n)
+    return 2 * rng.integers(0, draw(st.integers(1, n + 2)), n)
+
 
 @st.composite
 def completion_cases(draw):
-    """A map with duplicates, k possibly > n, a mixed batch of scans.
+    """A map with duplicates, k possibly > n, a mixed batch of scans
+    and a partition of the map.
 
     Integer-dBm maps and scans produce masked-distance ties; rows may
-    hear one AP, every AP or none.
+    hear one AP, every AP or none, and one may hear a ±1e300 reading.
     """
     d = draw(st.integers(1, 8))
     n_unique = draw(st.integers(1, 24))
@@ -174,20 +266,27 @@ def completion_cases(draw):
         elif kind == 2:  # nothing heard
             queries[i] = np.nan
         # kind 3: every AP heard
-    return fp, k, queries, draw(st.booleans())
+    if draw(st.booleans()):
+        queries[rng.integers(0, b), rng.integers(0, d)] = draw(
+            st.sampled_from((1e300, -1e300))
+        )
+    return fp, k, queries, draw(st.booleans()), partition(draw, rng, n)
 
 
 @settings(max_examples=120, deadline=None)
 @given(completion_cases())
 def test_rows_match_oracle_alone_and_in_batch(case):
-    fp, k, queries, mapped = case
+    fp, k, queries, mapped, assign = case
     fill = fp.mean(axis=0)
-    expected = oracle(fp, queries, k, fill)
-    with tempfile.TemporaryDirectory() as tmp:
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracle(fp, queries, k, fill)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(
+        over="ignore", invalid="ignore"
+    ):
         tensor = mapped_copy(fp, tmp) if mapped else fp
         for path in PATHS:
             with forced(path):
-                completion = MapCompletion(tensor, fill, k=k)
+                completion = completer(tensor, fill, path, k, assign)
                 out = completion.complete(queries)
                 np.testing.assert_array_equal(out, expected, err_msg=path)
                 for i in range(len(queries)):
@@ -231,3 +330,145 @@ class TestMemoryAccounting:
             assert backed_by_memmap(completion.precomputed)
             assert resident_after - resident == n * 2 * d * 4 + d * 8
             del shard, completion
+
+    def test_footprint_counts_the_buckets_of_an_index_backed_shard(self):
+        n, d = 600, 12
+        rng = np.random.default_rng(5)
+        fp = rng.uniform(-95.0, -20.0, size=(n, d))
+        locations = rng.uniform(0.0, 50.0, size=(n, 2))
+        fill = fp.mean(axis=0)
+        estimator = WKNNEstimator(spatial_index="on").fit(fp, locations)
+        buckets = np.unique(estimator.index.assign).size
+        assert buckets > 1
+        with tempfile.TemporaryDirectory() as tmp, forced("bound"):
+            completion = MapCompletion(mapped_copy(fp, tmp), fill)
+            shard = VenueShard("mall", d, estimator, None, fill, completion)
+            resident, mapped = shard.footprint()
+
+            scans = fp[:4] + rng.normal(0.0, 2.0, size=(4, d))
+            scans[rng.random(scans.shape) < 0.3] = np.nan
+            scans[:, 0] = -50.0
+            shard.locate(scans)
+
+            resident_after, mapped_after = shard.footprint()
+            assert mapped_after == mapped == fp.nbytes
+            # On top of W and the centre: the bucket-order permutation,
+            # the bucket row offsets and each bucket's box (centre and
+            # half-width per AP).
+            assert resident_after - resident == (
+                n * 2 * d * 4 + d * 8 + n * 8 + (buckets + 1) * 8
+                + 2 * buckets * d * 8
+            )
+            del shard, completion
+
+
+def full_sweep(completion, scans):
+    """What ``completion`` answers without a partition."""
+    return MapCompletion(
+        completion.precomputed, completion.fill_values, k=completion.k
+    ).complete(scans)
+
+
+class TestIndexBackedShard:
+    """A shard with a spatial index completes through the index's
+    buckets and answers bit-identically to the full sweep: fresh,
+    after a delta refreshes the assignment, and after a round trip
+    through a shard artifact."""
+
+    @pytest.fixture(scope="class")
+    def survey(self):
+        # Enough passes for a few hundred records, so the index grid
+        # has more than one bucket.
+        dataset = make_dataset("kaide", scale=0.28, seed=5, n_passes=18)
+        tables = sorted(dataset.survey_tables, key=lambda t: t.path_id)
+        builder = RadioMapBuilder(tables[0].n_aps)
+        for table in tables:
+            builder.add_table(table)
+        ingestor = StreamIngestor(tables[0].n_aps)
+        for table in simulate_new_survey(dataset, n_passes=1, seed=77):
+            ingestor.ingest_table(table)
+        return dataset, builder.snapshot(), ingestor.drain()
+
+    @staticmethod
+    def check(shard, scans):
+        completion = shard.completion
+        index = shard.estimator.index
+        assert np.unique(index.assign).size > 1
+        assert completion._assign is index.assign
+        expected = full_sweep(completion, scans)
+        np.testing.assert_array_equal(completion.complete(scans), expected)
+        for i in range(len(scans)):
+            np.testing.assert_array_equal(
+                completion.complete(scans[i : i + 1])[0], expected[i]
+            )
+        np.testing.assert_array_equal(
+            shard.locate(scans),
+            shard.estimator.predict(expected, squeeze=False),
+        )
+
+    def test_fresh_delta_and_reloaded_shards_match_the_full_sweep(
+        self, survey, tmp_path
+    ):
+        dataset, base_map, delta = survey
+        scans = scan_pool(dataset, 24, np.random.default_rng(3))
+        assert (~np.isfinite(scans)).any(axis=1).all()
+        shard = VenueShard.build(
+            "kaide",
+            base_map,
+            MNAROnlyDifferentiator(),
+            estimator=WKNNEstimator(spatial_index="on"),
+            bisim_config=BiSIMConfig(hidden_size=10, epochs=2),
+        )
+        self.check(shard, scans)
+
+        old_assign = shard.estimator.index.assign
+        shard.apply_delta(delta)
+        assert shard.estimator.index.assign is not old_assign
+        self.check(shard, scans)
+
+        path = tmp_path / "shard.npz"
+        shard.save(path)
+        loaded = VenueShard.load(path)
+        assert backed_by_memmap(loaded.completion.precomputed)
+        self.check(loaded, scans)
+        np.testing.assert_array_equal(
+            loaded.locate(scans), shard.locate(scans)
+        )
+
+
+def log_distance_map(n, d, seed):
+    """A log-distance path-loss map over a 200 m square."""
+    rng = np.random.default_rng(seed)
+    aps = rng.uniform(0.0, 200.0, size=(d, 2))
+    rps = rng.uniform(0.0, 200.0, size=(n, 2))
+    dist = np.linalg.norm(rps[:, None, :] - aps[None, :, :], axis=2)
+    rssi = -30.0 - 30.0 * np.log10(np.maximum(dist, 1.0))
+    rssi += rng.normal(0.0, 3.0, size=rssi.shape)
+    return np.clip(rssi, -95.0, -20.0)
+
+
+@pytest.mark.slow
+def test_fleet_scale_map_reads_a_minority_of_buckets():
+    """On a 32768 × 96 map, single-row completions through the
+    index's buckets equal the full sweep and read a median of at most
+    60% of the map's rows."""
+    fp = log_distance_map(32768, 96, seed=21)
+    fill = fp.mean(axis=0)
+    rng = np.random.default_rng(22)
+    scans = fp[rng.integers(0, len(fp), 64)]
+    scans = scans + rng.normal(0.0, 2.5, size=scans.shape)
+    scans[rng.random(scans.shape) < 0.3] = np.nan
+    full = MapCompletion(fp, fill)
+    buckets = completer(
+        fp, fill, "buckets", assign=SpatialIndex.build(fp).assign
+    )
+    tracer = Tracer(sample_every=1)
+    shares = []
+    for scan in scans:
+        root = tracer.start("row")
+        with tracer.activate(root):
+            out = buckets.complete(scan[None, :])
+        np.testing.assert_array_equal(out, full.complete(scan[None, :]))
+        (gemm,) = [c for c in root.children if c.name == "completion.gemm"]
+        shares.append(gemm.meta["rows_read"] / len(fp))
+    assert np.median(shares) <= 0.6, np.median(shares)

@@ -264,6 +264,27 @@ class TestPrecomputeFallback:
         out = service.query_batch(["kaide"] * 5, queries)
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_manifest_k_below_one_falls_back(
+        self, bisim_artifact, kaide_smoke, tmp_path, k
+    ):
+        """A manifest asking for fewer than one neighbour cannot fill
+        anything; the shard degrades instead of serving NaN fills."""
+        from repro.serving import EncoderCompletion
+
+        shard, path = bisim_artifact
+        bad = self.resave(
+            path, tmp_path / "bad-k.npz", config_update={"k": k}
+        )
+        service = PositioningService()
+        loaded = service.deploy_from_artifact(bad)
+        assert loaded.precompute_fallback
+        assert isinstance(loaded.completion, EncoderCompletion)
+        assert service.stats.precompute_fallbacks == 1
+        queries = scans(kaide_smoke, 5, 7)
+        out = service.query_batch(["kaide"] * 5, queries)
+        assert np.isfinite(out).all()
+
     def test_shape_mismatch_falls_back(self, bisim_artifact, tmp_path):
         shard, path = bisim_artifact
         bad = self.resave(
