@@ -21,21 +21,16 @@ query returns ``(2,)`` by default, or ``(1, 2)`` with
 :class:`NearestNeighbourEstimator` adds the shared vectorized
 neighbour search both KNN variants build on.  It has one semantic at
 every map size: exact float64 per-pair distances, selected by
-``(distance, record index)`` through
-:func:`~repro.positioning.index.select_k_nearest`.  Two ways of
-finding the candidates feed that one finish:
+``(distance, record index)`` as
+:func:`~repro.positioning.index.select_k_nearest` selects them.  Two
+kernels find them:
 
 * **brute force** (maps below ``INDEX_MIN_RECORDS`` under ``"auto"``,
-  or ``spatial_index="off"``) — the float64 expansion
-  ``‖q‖² + ‖r‖² − 2·q·r`` (one matmul against the ``‖r‖²`` stored at
-  fit time) is only a bound.  By the standard dot-product bound
-  (``γ_D = D·u/(1 − D·u)``, ``u = eps/2``) the expansion and the
-  exact per-pair sum each stay within ``(D + 2)·eps·(‖q‖² + ‖r‖²)``
-  of the true squared distance.  They differ by at most twice that,
-  so no true neighbour's expansion lies more than four times that
-  above the row's k-th expansion value.  Every record within
-  ``8·(D + 2)·eps·(‖q‖² + max‖r‖²)`` of it is kept (2x slack) and
-  re-evaluated exactly;
+  or ``spatial_index="off"``) — a
+  :class:`~repro.positioning.index.MapSearch` over the radio map with
+  every AP heard: the kernel map completion runs with a scan's heard
+  APs, an exact scan for small batches and a float32 bound GEMM with
+  a proven margin otherwise (the proof lives with the kernel);
 * **spatial index** — a :class:`~repro.positioning.index.SpatialIndex`
   over the radio map, used when the ``spatial_index`` mode requests it
   (``"auto"`` builds one at ``INDEX_MIN_RECORDS`` and above).
@@ -54,14 +49,10 @@ from typing import Tuple
 import numpy as np
 
 from ..exceptions import PositioningError
-from .index import INDEX_MIN_RECORDS, SpatialIndex, select_k_nearest
+from .index import INDEX_MIN_RECORDS, MapSearch, SpatialIndex
 
 #: Valid values of the ``spatial_index`` estimator field.
 INDEX_MODES = ("auto", "on", "off")
-
-#: Brute-path margin in units of ``(D + 2)·(‖q‖² + max‖r‖²)``: the
-#: proven bound (``4·eps``, see the module docstring) with 2x slack.
-_EXPANSION_MARGIN = 8.0 * np.finfo(float).eps
 
 
 def _validate_training(fingerprints: np.ndarray, locations: np.ndarray):
@@ -204,9 +195,9 @@ class NearestNeighbourEstimator(LocationEstimator):
 
     def _set_search(self, index: "SpatialIndex | None") -> None:
         """Install the search state for the current ``_fp``: the
-        index (or None) and the brute path's stored ``‖r‖²``."""
+        index (or None) and the brute path's search."""
         self._index = index
-        self._r2 = (self._fp * self._fp).sum(axis=1)
+        self._search = MapSearch(self._fp, stage="brute")
 
     def _wants_index(self, n_records: int) -> bool:
         mode = self.spatial_index
@@ -249,28 +240,17 @@ class NearestNeighbourEstimator(LocationEstimator):
 
         ``dists`` is ``(n, k)`` Euclidean distances, ``locs`` is
         ``(n, k, 2)``; both are canonically ordered by ``(distance,
-        record index)``, and both paths finish through
-        :func:`~repro.positioning.index.select_k_nearest`, so they
-        select identical neighbours with identical distances.
+        record index)`` over exact per-pair distances, so the index
+        and the brute search select identical neighbours with
+        identical distances.
         """
-        fp = self._fp
-        n, d = fp.shape
+        n = self._fp.shape[0]
         k = min(self.k, n)
         index = self.index
         if index is not None and k < n:
             d2k, idx = index.query(queries, k)
         else:
-            # f64 expansion as a bound, then the exact finish (see the
-            # module docstring for the margin's error bound).
-            q2 = (queries * queries).sum(axis=1)
-            bound = queries @ fp.T
-            bound *= -2.0
-            bound += self._r2
-            bound += q2[:, None]
-            kth = np.partition(bound, k - 1, axis=1)[:, k - 1]
-            margin = _EXPANSION_MARGIN * (d + 2) * (q2 + self._r2.max())
-            qi, ri = np.nonzero(bound <= (kth + margin)[:, None])
-            d2k, idx = select_k_nearest(queries, fp, k, qi, ri)
+            d2k, idx = self._search.query(queries, k)
         return np.sqrt(d2k), self._loc[idx]
 
     def _predict_batch(self, queries: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Exact spatial index over radio-map fingerprints (the serving hot path).
+"""Exact k-nearest search over radio-map fingerprints (the serving hot path).
 
-Brute-force KNN pays a dense ``(batch, N)`` distance matrix per query
-batch — BLAS-fast, but O(N) per query in compute *and* memory traffic,
-which is what caps serve throughput on large maps.
-:class:`SpatialIndex` replaces it with a three-stage *exact* search:
+Two kernels feed one exact finish, :func:`select_k_nearest`:
+:class:`MapSearch` runs every unindexed search (the brute-force
+estimator path and map completion) with an exact scan or one float32
+bound GEMM over the map per batch.  :class:`SpatialIndex`, for large
+maps, replaces that O(N) sweep with a three-stage *exact* search:
 
 1. **Bucket pruning** — reference fingerprints are rotated into a
    PCA basis and embedded into ``p+1`` dims (top-``p`` projection plus
@@ -21,9 +22,8 @@ which is what caps serve throughput on large maps.
    ``((a-b)**2).sum()`` re-evaluation, then canonical
    ``(distance, reference index)`` selection.
 
-The brute-force estimator path finishes through the same
-:func:`select_k_nearest`, so the index returns **bit-identical**
-neighbours to it and to the test oracle
+:class:`MapSearch` orders the same exact values the same way, so the
+index returns **bit-identical** neighbours to it and to the test oracle
 (:func:`~repro.positioning.base.pairwise_sq_dists` plus
 :func:`canonical_k_smallest`) — pinned by the parity tests.  Stages
 1-2 can only over-include candidates (pads + margins), never drop a
@@ -40,7 +40,7 @@ most of the map changed).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from ..obs.trace import current_span
 
 __all__ = [
     "INDEX_MIN_RECORDS",
+    "MapSearch",
     "SpatialIndex",
     "canonical_k_smallest",
     "pair_exact_sq_dists",
@@ -77,6 +78,31 @@ _PAD_LB = 1.0 - 1e-9
 #: Scale factor of the float32 filter margin: generous cover for sgemm
 #: accumulation error plus the f32 rounding of the centered inputs.
 _F32_MARGIN = 128.0 * float(np.finfo(np.float32).eps)
+
+#: Twice the bound margin of :class:`MapSearch`, in units of
+#: ``(D + 2)·(‖q_c‖² + 2·max‖C_r‖²)``: the float32 dot-product bound
+#: with 2x slack, doubled for the threshold.
+_BOUND_MARGIN = 4.0 * float(np.finfo(np.float32).eps)
+
+#: Float64 elements per chunk: of the map while :class:`MapSearch`
+#: builds its bound matrix, and of a batch's box-bound temporaries.
+_BUILD_CHUNK = 1 << 17
+
+#: Once the buckets a batch must read hold this share of the map, it
+#: reads all of it.  Further rows can only add buckets, and past this
+#: share bounding them costs more than reading the rest of ``W``: on
+#: a 32768 × 96 map the buckets of a 2-row batch hold a median 61% of
+#: the rows, of a 4-row batch 86% and of an 8-row batch 99%.
+_SWEEP_ALL = 0.75
+
+#: Up to this many difference elements (batch rows × records × APs) a
+#: :class:`MapSearch` batch scans every record exactly instead of
+#: using the bound.  Below it the scan costs about what the bound does
+#: (36 vs 42 µs for one masked row on a 96 × 24 map, 89 vs 76 µs on
+#: 113 × 107; 2-vCPU Xeon), and it never builds ``W``: a small venue
+#: that a memory-budgeted fleet reloads often would otherwise rebuild
+#: it (~40 µs) after each load.
+_SCAN_ELEMS = 1 << 14
 
 #: If fewer than this fraction of rows survive a delta unchanged, an
 #: incremental refresh degenerates; rebuild from scratch instead.
@@ -246,6 +272,335 @@ def select_k_nearest(
     return vals, ids
 
 
+class _Bound(NamedTuple):
+    """:class:`MapSearch`'s bound state: the per-AP centre ``c``,
+    float32 ``W = [C∘C | C]`` and ``2·max_r ‖C_r‖²``; partitioned,
+    also the record id of each row of ``w`` (which is in bucket
+    order), the non-empty buckets' row offsets, and each bucket's box
+    of ``C`` (centre and half-width of its float64 min and max per
+    AP)."""
+
+    centre: np.ndarray
+    w: np.ndarray
+    c2max2: float
+    perm: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
+    mid: Optional[np.ndarray] = None
+    half: Optional[np.ndarray] = None
+
+
+class MapSearch:
+    """Exact k nearest records of one map, over every AP or a mask.
+
+    The candidate kernel of every search that does not use a
+    :class:`SpatialIndex`: the brute-force estimator path (every AP
+    heard) and map completion (a scan's heard APs).  The distance is
+    ``pair_exact_sq_dists(q_zeroed, record * mask)``, and answers are
+    ordered by ``(distance, record id)`` as :func:`select_k_nearest`
+    orders them, so a row's answer depends only on the row and the map.
+
+    A batch of at most :data:`_SCAN_ELEMS` difference elements scans
+    every record exactly and stable-sorts the distances.  A larger one
+    takes its candidates from one float32 bound GEMM.  A row left with
+    exactly ``k`` candidates has them as its k nearest: :meth:`query`
+    orders them by exact distance, :meth:`nearest` takes them as they
+    are.  Other rows go through :func:`select_k_nearest`.
+
+    *Bound.*  With a per-AP centre ``c`` (any centre is valid; only
+    the margin's tightness depends on it), ``C = map − c`` and the
+    query's centred heard values ``q_c`` (zero where unheard), the
+    distance is ``‖q_c‖² + W_r·a`` with ``W = [C∘C | C]`` (``(N,
+    2D)``, record major, built on the first batch that needs it) and
+    ``a = [mask | −2·q_c]`` (all ones for an unmasked search).  The
+    candidates are selected on ``s_r = fl32(W_r·a)`` alone.
+
+    *Margin.*  With ``u = eps32/2``, the float32 roundings of ``W``
+    and ``a`` perturb each product by at most ``2u`` relative, and the
+    standard dot-product bound adds ``γ_2D = 2D·u/(1 − 2D·u)`` of
+    ``S_r = Σ|W_r,j·a_j|``.  So ``s_r`` stays within ``(2D + 2)·u·S_r``
+    (to first order) of its exact value; the float64 roundings
+    (centring, the exact finish) are ``2^-29`` of that.  Since
+    ``2|q||C| ≤ q² + C²``, ``S_r ≤ ‖q_c‖² + 2·max_r‖C_r‖²``, so
+    ``margin = 2·(D + 2)·eps32·(‖q_c‖² + 2·max_r‖C_r‖²)`` bounds
+    ``|‖q_c‖² + s_r − d_r|`` against the exact distance ``d_r`` with
+    2x slack.  The k smallest ``s`` give ``d_(k) ≤ ‖q_c‖² + s_(k) +
+    margin``, so every true neighbour and every record tied with the
+    k-th has ``s_r ≤ s_(k) + 2·margin``; all of those are kept and
+    re-evaluated exactly.  The slack also covers rounding the
+    threshold to float32.  (The relative error model needs every
+    nonzero term above float32's subnormal range; a nonzero ``C`` or
+    ``q_c`` is at least one float64 ulp of a dBm reading, ~1e-14.)  A
+    row whose ``s`` is not all finite (a NaN, or a huge reading
+    overflowing float32) keeps no candidates and takes the finish's
+    exact scan of every record.
+
+    *Buckets.*  Given a bucket assignment (:meth:`partition`; in
+    serving, that of an index over the same records), ``W`` is laid
+    out in bucket order and each non-empty bucket keeps a box of
+    ``C``, the float64 min and max per AP as centre and half-width.
+
+    - *Lower bound.*  Over a row's heard APs, ``lb = Σ_j gap_j²``
+      (``gap_j``: from ``q_c,j`` to the box's interval) is at most
+      every member's ``d_r``, its roundings ~``2^-29`` of the margin.
+    - *Upper bound.*  The row probes its buckets in ``lb`` order until
+      they hold ``k`` records; their ``s`` give ``d_(k) ≤ ‖q_c‖² +
+      s_(k) + margin``.
+    - *Pruning.*  A bucket with ``lb > ‖q_c‖² + s_(k) + 2·margin``
+      holds no neighbour of the row and no record tied with the k-th.
+    - *Sweep.*  A batch sweeps the union of its rows' surviving
+      buckets, one GEMM per run of consecutive buckets.  That union
+      holds every record at or below each row's ``d_(k)``, so the
+      threshold keeps every neighbour as above.  Reading more is
+      always safe: once the union holds :data:`_SWEEP_ALL` of the
+      rows, the batch reads all of ``W``.  A row whose upper bound is
+      not finite reads every bucket.
+
+    Any partition keeps the answer exact; the index's only makes the
+    bound tight.  A memory-mapped map is searched in place: ``W`` is
+    the only derived matrix.  A traced bound batch records
+    ``<stage>.bound``, ``<stage>.gemm`` (meta ``rows_read``, rows of
+    ``W`` swept) and ``<stage>.finish`` (meta ``candidates``) as
+    children of the active span; untraced, nothing is timed.
+    """
+
+    def __init__(self, refs: np.ndarray, *, stage: str):
+        self.refs = refs
+        self.stage = stage
+        #: The bucket assignment the bound is laid out in, if any.
+        self.assign: Optional[np.ndarray] = None
+        self._bound: Optional[_Bound] = None
+
+    def partition(self, assign: np.ndarray) -> None:
+        """Search through the buckets of ``assign`` (a non-negative
+        bucket id per record); the next batch rebuilds ``W``."""
+        if assign is not self.assign:
+            self.assign = np.asarray(assign, dtype=np.int64)
+            self._bound = None
+
+    def nbytes(self) -> int:
+        """Bytes of the bound state, built or not: a memory budget
+        charges it before the first batch that builds it."""
+        n, d = self.refs.shape
+        total = n * 2 * d * 4 + d * 8
+        if self.assign is not None:
+            nb = np.count_nonzero(np.bincount(self.assign))
+            total += n * 8 + (nb + 1) * 8 + 2 * nb * d * 8
+        return total
+
+    def _bound_state(self) -> _Bound:
+        """The bound state, built on first use.
+
+        ``W`` is filled in row chunks, so the transient memory is one
+        float64 chunk on top of ``W`` itself.  With a partition, each
+        chunk gathers its records in bucket order and widens the boxes
+        of the buckets it overlaps.
+        """
+        if self._bound is None:
+            t = self.refs
+            n, d = t.shape
+            # A plain array even when ``t`` is a memory map.
+            centre = np.array(t.mean(axis=0), dtype=float)
+            w = np.empty((n, 2 * d), dtype=np.float32)
+            perm = offsets = lo = hi = None
+            if self.assign is not None:
+                perm = np.argsort(self.assign, kind="stable")
+                sizes = np.bincount(self.assign)
+                offsets = np.concatenate(
+                    ([0], np.cumsum(sizes[sizes > 0]))
+                )
+                lo = np.full((offsets.size - 1, d), np.inf)
+                hi = np.full((offsets.size - 1, d), -np.inf)
+            c2max = 0.0
+            step = max(1, _BUILD_CHUNK // d)
+            for s in range(0, n, step):
+                if perm is None:
+                    c = t[s : s + step] - centre
+                else:
+                    e = min(s + step, n)
+                    c = t[perm[s:e]]
+                    c -= centre
+                    # Widen the boxes of the buckets rows [s, e) meet.
+                    first = np.searchsorted(offsets, s, "right") - 1
+                    for j in range(first, np.searchsorted(offsets, e)):
+                        part = c[
+                            max(offsets[j] - s, 0) : offsets[j + 1] - s
+                        ]
+                        np.minimum(lo[j], part.min(axis=0), out=lo[j])
+                        np.maximum(hi[j], part.max(axis=0), out=hi[j])
+                w[s : s + step, d:] = c
+                c *= c
+                w[s : s + step, :d] = c
+                c2max = max(c2max, float(c.sum(axis=1).max()))
+            mid = half = None
+            if perm is not None:
+                mid = (lo + hi) / 2.0
+                half = np.maximum(hi - mid, mid - lo)
+            self._bound = _Bound(
+                centre, w, 2.0 * c2max, perm, offsets, mid, half
+            )
+        return self._bound
+
+    @staticmethod
+    def _surviving_runs(
+        state: _Bound,
+        a: np.ndarray,
+        qc: np.ndarray,
+        base: np.ndarray,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)``: the row runs of ``w`` a batch sweeps.
+
+        ``base`` is ``‖q_c‖² + 2·margin`` per row; a bucket survives
+        for a row unless its box bound exceeds ``base + s_(k)`` of the
+        row's probe (see *Buckets* in the class docstring).
+        """
+        w, off = state.w, state.offsets
+        sizes = np.diff(off)
+        # The mask half of ``a``: 1 on each row's heard APs.
+        heard = a[:, : qc.shape[1]].astype(float)
+        # ``union[1:-1]`` flags the buckets some row must read.
+        union = np.zeros(sizes.size + 2, dtype=bool)
+        step = max(1, _BUILD_CHUNK // state.mid.size)
+        for r in range(0, qc.shape[0], step):
+            # Box bounds over each row's heard APs: (rows, buckets).
+            gap = qc[r : r + step, None] - state.mid
+            np.abs(gap, out=gap)
+            gap -= state.half
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            lb = np.matmul(gap, heard[r : r + step, :, None])[..., 0]
+            for i, row in enumerate(lb, start=r):
+                # Probe the nearest buckets until they hold k records.
+                near = [int(row.argmin())]
+                if sizes[near[0]] < k:
+                    order = np.argsort(row)
+                    held = np.cumsum(sizes[order])
+                    near = order[: np.searchsorted(held, k) + 1]
+                s = np.concatenate(
+                    [w[off[j] : off[j + 1]] @ a[i] for j in near]
+                )
+                limit = base[i] + np.partition(s, k - 1)[k - 1]
+                if not np.isfinite(limit):
+                    return off[:1], off[-1:]
+                # A NaN bound (an overflowing box) keeps its bucket.
+                union[1:-1] |= ~(row > limit)
+                if sizes[union[1:-1]].sum() >= _SWEEP_ALL * off[-1]:
+                    return off[:1], off[-1:]
+        edges = np.flatnonzero(union[1:] != union[:-1])
+        return off[edges[::2]], off[edges[1::2]]
+
+    def query(
+        self, q: np.ndarray, k: int, mask: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(d2, ids)`` of each row's ``min(k, N)`` nearest records.
+
+        ``mask`` (``(b, D)`` bool) restricts each row to its heard
+        APs, where ``q`` must hold zeros elsewhere; ``None`` means
+        every AP is heard.
+        """
+        return self._find(q, k, mask, True)
+
+    def nearest(
+        self, q: np.ndarray, k: int, mask: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The ids :meth:`query` returns, each row in record order:
+        without the order, a row left with exactly ``k`` candidates
+        needs no exact distances at all."""
+        return np.sort(self._find(q, k, mask, False)[1], axis=1)
+
+    def _find(self, q, k, mask, ordered):
+        """:meth:`query`, or with ``ordered`` False the same ids
+        possibly out of order and without their distances."""
+        refs = self.refs
+        b = q.shape[0]
+        n, d = refs.shape
+        k = min(k, n)
+        if b * n * d <= _SCAN_ELEMS:
+            if mask is not None:
+                refs = refs * mask[:, None, :]
+            d2 = pair_exact_sq_dists(q[:, None, :], refs)
+            # A stable sort orders them by (distance, record id).
+            ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            return d2[np.arange(b)[:, None], ids] if ordered else None, ids
+        span = current_span()
+        tick = time.perf_counter if span is not None else (lambda: 0.0)
+        t0 = tick()
+        state = self._bound_state()
+        w = state.w
+        a = np.empty((b, 2 * d), dtype=np.float32)
+        a[:, :d] = 1.0 if mask is None else mask
+        with np.errstate(over="ignore", invalid="ignore"):
+            qc = q - state.centre
+            if mask is not None:
+                qc *= mask
+            np.multiply(qc, -2.0, out=a[:, d:], casting="same_kind")
+            qc2 = np.einsum("ij,ij->i", qc, qc)
+            margin2 = _BOUND_MARGIN * (d + 2) * (qc2 + state.c2max2)
+            if state.perm is None:
+                t1 = tick()
+                # Below 64 rows ``W @ aᵀ`` is the faster GEMM, and the
+                # (b, N) copy makes the row scans contiguous.  From 64
+                # the copy dominates: ``a @ Wᵀ`` takes 15 vs 29 ms at
+                # 64 rows on a 32768 × 96 map, 0.19 vs 0.67 s at 1024.
+                if b < 64:
+                    s = np.ascontiguousarray((w @ a.T).T)
+                else:
+                    s = a @ w.T
+            else:
+                starts, ends = self._surviving_runs(
+                    state, a, qc, qc2 + margin2, k
+                )
+                t1 = tick()
+                lens = ends - starts
+                dst = np.cumsum(lens) - lens
+                sweep = np.empty((int(lens.sum()), b), dtype=np.float32)
+                for r0, r1, p in zip(starts, ends, dst):
+                    np.matmul(w[r0:r1], a.T, out=sweep[p : p + r1 - r0])
+                s = np.ascontiguousarray(sweep.T)
+            t2 = tick()
+            thr = np.partition(s, k - 1, axis=1)[:, k - 1] + margin2
+            finite = np.isfinite(s).all(axis=1)
+            if not finite.all():
+                # No candidates: the finish scans every record instead.
+                thr[~finite] = np.nan
+            keep = s <= thr.astype(np.float32)[:, None]
+        qi, ri = np.divmod(np.flatnonzero(keep), s.shape[1])
+        if state.perm is not None:
+            # Sweep column → row of ``w`` → record id.
+            run = np.searchsorted(dst, ri, "right") - 1
+            ri = state.perm[starts[run] + (ri - dst[run])]
+        if qi.size == b * k and (np.bincount(qi, minlength=b) == k).all():
+            # k candidates per row contain the k nearest, so they are
+            # them; only :meth:`query` needs their exact order.
+            ids = ri.reshape(b, k)
+            d2 = None
+            if ordered:
+                r = refs[ids]
+                if mask is not None:
+                    r *= mask[:, None, :]
+                d2 = pair_exact_sq_dists(q[:, None, :], r)
+                # Fancy indexing: ``take_along_axis`` costs ~8 µs.
+                rows, order = np.arange(b)[:, None], np.lexsort((ids, d2))
+                d2, ids = d2[rows, order], ids[rows, order]
+            out = d2, ids
+        else:
+            out = select_k_nearest(q, refs, k, qi, ri, mask)
+        if span is not None:
+            t3 = time.perf_counter()
+            span.child(f"{self.stage}.bound", duration=t1 - t0)
+            span.child(
+                f"{self.stage}.gemm",
+                duration=t2 - t1,
+                meta={"rows_read": int(s.shape[1])},
+            )
+            span.child(
+                f"{self.stage}.finish",
+                duration=t3 - t2,
+                meta={"candidates": int(qi.size)},
+            )
+        return out
+
+
 class SpatialIndex:
     """Bucketed PCA index with an exact-parity query path.
 
@@ -331,25 +686,17 @@ class SpatialIndex:
         self._offsets = np.concatenate(
             [[0], np.cumsum(self._counts)]
         )
-        # Bucket-contiguous centered rows in f32: the block filter
-        # reads them with plain slices, no per-row gathers.
-        self._centered32 = np.ascontiguousarray(
-            centered[self._order], dtype=np.float32
-        )
-        self._c2_32 = (
-            (self._centered32.astype(np.float64) ** 2)
-            .sum(axis=1)
-            .astype(np.float32)
-        )
-        # Extended reference rows [C_r, 1, c2] for the query kernel:
+        # Extended reference rows [C_r, 1, c2] in f32, bucket
+        # contiguous so the block filter reads them with plain slices:
         # against query rows [-2*C_q, qf - t, 1] a single GEMM yields
         # d2 - t (or d2 itself with t=0) fused — no per-rectangle
-        # elementwise passes for the -2g + c2 + qf expansion.
-        d = self._centered32.shape[1]
+        # elementwise passes for the -2g + c2 + qf expansion.  ``c2``
+        # is the squared norm of the f32-rounded ``C_r``.
+        d = fp.shape[1]
         ext = np.empty((n, d + 2), dtype=np.float32)
-        ext[:, :d] = self._centered32
+        ext[:, :d] = centered[self._order]
         ext[:, d] = 1.0
-        ext[:, d + 1] = self._c2_32
+        ext[:, d + 1] = (ext[:, :d].astype(np.float64) ** 2).sum(axis=1)
         self._ext32 = ext
         cent = np.zeros((self.n_buckets, aug.shape[1]))
         np.add.at(cent, assign, aug)
@@ -361,7 +708,7 @@ class SpatialIndex:
         self._centroids = cent
         self._cent2 = (cent * cent).sum(axis=1)
         self._radius = radius
-        self._scale = float(self._c2_32.max(initial=1.0)) + 1.0
+        self._scale = float(ext[:, d + 1].max(initial=1.0)) + 1.0
         self._n = n
 
         # Per-bucket axis-aligned bounding boxes in the augmented
@@ -390,7 +737,7 @@ class SpatialIndex:
         # Stage-2 band boundaries: bucket-id runs capped at
         # ``_BAND_ROWS`` rows.  Empty buckets occupy zero rows, so a
         # run of consecutive ids is always one contiguous slice of
-        # ``_centered32`` — each band is evaluated with a single GEMM
+        # ``_ext32`` — each band is evaluated with a single GEMM
         # over that slice, no gathers, no extra copy of the map.
         band_of_bucket = (np.cumsum(self._counts) - 1) // _BAND_ROWS
         np.maximum(band_of_bucket, 0, out=band_of_bucket)
@@ -807,19 +1154,11 @@ class SpatialIndex:
     ) -> np.ndarray:
         """Per-query k-th smallest of a pooled ``(qi, value)`` set.
 
-        ``values`` arrives float32 from the block filter; the scatter,
-        partition and selection run at that width (half the memory
-        traffic of the old f64 pool) and only the chosen per-query
-        bound widens to f64 — an exact conversion, so the padded upper
-        bounds downstream are bit-identical to the all-f64 pool.
-
-        One query with a huge pool used to pad *every* row of the
-        dense ``(b, width)`` scatter to its width; past
-        :data:`_DENSE_SELECT_CAP` the selection now switches to a
-        lexsort over the candidates themselves, keeping peak memory
-        O(candidates).  The k-th smallest of a set does not depend on
-        how it is selected, so the bound — and everything downstream —
-        is unchanged.
+        ``values`` arrives float32 from the block filter and is
+        selected at that width; only the chosen bound widens to f64
+        (exactly).  Past :data:`_DENSE_SELECT_CAP` a lexsort over the
+        candidates replaces the dense ``(b, width)`` scatter, so one
+        query with a huge pool cannot pad every row to its width.
         """
         counts = np.bincount(qi, minlength=b)
         width = int(counts.max(initial=0))

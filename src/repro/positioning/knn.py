@@ -6,10 +6,11 @@ them inversely to fingerprint distance.
 
 Serving API: ``predict`` is fully vectorized over the query batch;
 the neighbour search comes from
-:class:`~repro.positioning.base.NearestNeighbourEstimator` — brute
-force on small maps, a spatial index on large ones (the
-``spatial_index`` field selects the backend; the neighbours are exact
-either way).
+:class:`~repro.positioning.base.NearestNeighbourEstimator` — on small
+maps the exact k-nearest kernel map completion also runs
+(:class:`~repro.positioning.index.MapSearch`), on large ones a spatial
+index (the ``spatial_index`` field selects the backend; the
+neighbours are exact and bit-identical either way).
 See :mod:`repro.positioning.base` for the shared return-shape
 contract (``(n, D)`` → ``(n, 2)``; ``(D,)`` → ``(2,)``).
 """

@@ -156,7 +156,7 @@ def _with_buckets(pipeline: Pipeline) -> Pipeline:
     When the estimator's spatial index covers as many records as the
     completion map, the completion lays its bound out in the index's
     buckets and skips the ones that cannot hold a neighbour (see
-    :class:`~repro.serving.completion.MapCompletion`).  Any partition
+    :class:`~repro.positioning.index.MapSearch`).  Any partition
     keeps the fills exact, so a map the index was not built on only
     prunes less.
     """
@@ -171,7 +171,7 @@ def _with_buckets(pipeline: Pipeline) -> Pipeline:
         and index is not None
         and index.n_records == completion.precomputed.shape[0]
     ):
-        completion._partition(index.assign)
+        completion._search.partition(index.assign)
     return pipeline
 
 
@@ -1008,8 +1008,9 @@ class VenueShard:
         """``(resident_bytes, mapped_bytes)`` of this shard's pipeline.
 
         Best-effort accounting for memory-budgeted registries:
-        estimator state (including a spatial index's derived bucket
-        blocks), fill values, completion state and — when the shard
+        estimator state (a spatial index's derived bucket block, or
+        the brute search's bound state), fill values, completion state
+        and — when the shard
         retains a trained online imputer for ingest refresh — the
         imputer's checkpoint payload.  Memory-mapped arrays count as
         *mapped* (they release to the page cache on eviction) and
@@ -1036,9 +1037,11 @@ class VenueShard:
             index = estimator.index
             if index is not None:
                 # The persisted arrays above miss the derived
-                # bucket-contiguous blocks, which dominate the index.
-                tally(index._centered32)
-                tally(index._c2_32)
+                # bucket-contiguous block, which dominates the index.
+                tally(index._ext32)
+            else:
+                # The brute search's bound state, built or not.
+                resident += estimator._search.nbytes()
         if fill_values is not None:
             tally(fill_values)
         if completion is not None and hasattr(

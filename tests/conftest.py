@@ -34,6 +34,18 @@ def multifloor_smoke():
     )
 
 
+@pytest.fixture(scope="session")
+def fleet_scale_map() -> np.ndarray:
+    """A 32768 × 96 log-distance path-loss map over a 200 m square."""
+    rng = np.random.default_rng(21)
+    aps = rng.uniform(0.0, 200.0, size=(96, 2))
+    rps = rng.uniform(0.0, 200.0, size=(32768, 2))
+    dist = np.linalg.norm(rps[:, None, :] - aps[None, :, :], axis=2)
+    rssi = -30.0 - 30.0 * np.log10(np.maximum(dist, 1.0))
+    rssi += rng.normal(0.0, 3.0, size=rssi.shape)
+    return np.clip(rssi, -95.0, -20.0)
+
+
 @pytest.fixture
 def tiny_radio_map() -> RadioMap:
     """The paper's Table III radio map (5 records, 5 APs, one path).

@@ -6,17 +6,26 @@ the same alone or inside any batch, and a hostile row neither raises
 nor disturbs its batch-mates.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Tracer
 from repro.positioning import (
     WKNNEstimator,
     canonical_k_smallest,
     pairwise_sq_dists,
 )
+from repro.positioning import index as index_module
 
-MODES = ("off", "on")
+#: ``spatial_index`` values, and brute search forced to one regime:
+#: ``:scan`` scans every record exactly, ``:bound`` takes the float32
+#: bound GEMM (the drawn maps sit below the scan cutoff).
+MODES = ("off", "on", "off:scan", "off:bound")
 
 
 @st.composite
@@ -44,7 +53,18 @@ def map_and_queries(draw):
 def fit(fp, k, mode):
     # Locations (id, 0) make the returned neighbour locations the ids.
     locations = np.column_stack([np.arange(fp.shape[0]), np.zeros(len(fp))])
-    return WKNNEstimator(k=k, spatial_index=mode).fit(fp, locations)
+    return WKNNEstimator(k=k, spatial_index=mode.split(":")[0]).fit(
+        fp, locations
+    )
+
+
+def regime(mode):
+    """Patch the scan cutoff where the brute search reads it."""
+    forced = mode.partition(":")[2]
+    if not forced:
+        return nullcontext()
+    limit = 1 << 62 if forced == "scan" else 0
+    return mock.patch.object(index_module, "_SCAN_ELEMS", limit)
 
 
 def neighbours(est, queries):
@@ -59,7 +79,8 @@ def test_brute_and_index_match_the_exact_oracle(case):
     fp, k, queries = case
     d2, ids = canonical_k_smallest(pairwise_sq_dists(queries, fp), k)
     for mode in MODES:
-        dists, got = neighbours(fit(fp, k, mode), queries)
+        with regime(mode):
+            dists, got = neighbours(fit(fp, k, mode), queries)
         np.testing.assert_array_equal(got, ids, err_msg=mode)
         np.testing.assert_array_equal(dists, np.sqrt(d2), err_msg=mode)
 
@@ -72,9 +93,11 @@ def test_row_alone_equals_row_in_any_batch(case, shuffle):
     shuffle.shuffle(order)
     for mode in MODES:
         est = fit(fp, k, mode)
-        dists, ids = neighbours(est, queries[order])
+        with regime(mode):
+            dists, ids = neighbours(est, queries[order])
         for pos, i in enumerate(order):
-            alone_d, alone_ids = neighbours(est, queries[i : i + 1])
+            with regime(mode):
+                alone_d, alone_ids = neighbours(est, queries[i : i + 1])
             np.testing.assert_array_equal(alone_ids[0], ids[pos])
             np.testing.assert_array_equal(alone_d[0], dists[pos])
 
@@ -94,10 +117,34 @@ def test_hostile_row_is_contained(case, bad, data):
     mixed = np.insert(queries, row, hostile[0], axis=0)
     for mode in MODES:
         est = fit(fp, k, mode)
-        clean = est.predict(queries, squeeze=False)
-        with np.errstate(all="ignore"):
-            out = est.predict(mixed, squeeze=False)
+        with regime(mode):
+            clean = est.predict(queries, squeeze=False)
+            with np.errstate(all="ignore"):
+                out = est.predict(mixed, squeeze=False)
         assert np.isnan(out[row]).all(), (mode, out[row])
         np.testing.assert_array_equal(
             np.delete(out, row, axis=0), clean, err_msg=mode
         )
+
+
+@pytest.mark.slow
+def test_fleet_scale_brute_rows_match_the_oracle(fleet_scale_map):
+    """On a 32768 × 96 map, 64 single unmasked rows through the brute
+    search take the float32 bound over the whole map and return the
+    oracle's neighbours bit for bit."""
+    fp = fleet_scale_map
+    rng = np.random.default_rng(23)
+    scans = fp[rng.integers(0, len(fp), 64)]
+    scans = scans + rng.normal(0.0, 2.5, size=scans.shape)
+    est = fit(fp, 3, "off")
+    tracer = Tracer(sample_every=1)
+    for scan in scans:
+        root = tracer.start("row")
+        with tracer.activate(root):
+            dists, ids = neighbours(est, scan[None, :])
+        assert "brute.gemm" in [c.name for c in root.children]
+        d2, want = canonical_k_smallest(
+            pairwise_sq_dists(scan[None, :], fp), 3
+        )
+        np.testing.assert_array_equal(ids, want)
+        np.testing.assert_array_equal(dists, np.sqrt(d2))

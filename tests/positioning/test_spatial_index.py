@@ -315,7 +315,8 @@ class TestEstimatorIntegration:
     @pytest.mark.parametrize("cls", [KNNEstimator, WKNNEstimator])
     def test_predictions_bit_identical_to_exact_brute(self, cls):
         fp, loc = synthetic_map(2500, d=24, seed=26)
-        q = queries_near(fp, 50, seed=27)
+        # 80 rows: the brute search takes its ``a @ Wᵀ`` GEMM.
+        q = queries_near(fp, 80, seed=27)
         indexed = cls(k=4, spatial_index="on").fit(fp, loc)
         brute = cls(k=4, spatial_index="off").fit(fp, loc)
         np.testing.assert_array_equal(

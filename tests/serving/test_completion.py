@@ -32,18 +32,20 @@ from repro.positioning import (
     canonical_k_smallest,
     pairwise_sq_dists,
 )
+from repro.positioning import index as index_module
+from repro.positioning.io import estimator_payload
 from repro.radiomap import RadioMapBuilder
 from repro.serving import MapCompletion, VenueShard, scan_pool
-from repro.serving import completion as completion_module
 
 PATHS = ("scan", "bound", "buckets")
 
 
 def forced(path):
     """Send every batch down one path: the exact scan or the bound
-    (over the whole map or, given a partition, its buckets)."""
+    (over the whole map or, given a partition, its buckets).  The
+    cutoff is patched where the search kernel reads it."""
     limit = 1 << 62 if path == "scan" else 0
-    return mock.patch.object(completion_module, "_SCAN_ELEMS", limit)
+    return mock.patch.object(index_module, "_SCAN_ELEMS", limit)
 
 
 @pytest.fixture(params=PATHS)
@@ -60,7 +62,7 @@ def completer(fp, fill, path, k=3, assign=None):
         if assign is None:
             rng = np.random.default_rng(len(fp))
             assign = rng.integers(0, 7, len(fp))
-        completion._partition(assign)
+        completion._search.partition(assign)
     return completion
 
 
@@ -114,7 +116,8 @@ class TestCanonicalTies:
     def test_large_integer_map_matches_oracle(self, path):
         rng = np.random.default_rng(11)
         fp = rng.integers(-95, -40, size=(3000, 8)).astype(float)
-        queries = fp[rng.integers(0, 3000, 32)]
+        # 96 rows: the whole-map bound takes its ``a @ Wᵀ`` GEMM.
+        queries = fp[rng.integers(0, 3000, 96)]
         queries += rng.integers(-3, 4, size=queries.shape)
         queries[rng.random(queries.shape) < 0.4] = np.nan
         completion = completer(fp, fp.mean(axis=0), path, k=4)
@@ -217,6 +220,21 @@ class TestContract:
             completion.complete(scans)
         assert len(root.children) == 3
 
+    @pytest.mark.parametrize("path", PATHS)
+    def test_forcing_reaches_the_kernel(self, path):
+        """A one-row batch on a small map takes the bound only when
+        forced to: the patched cutoff must be the one the kernel
+        reads, or every path above would test the scan."""
+        fp = np.arange(40.0).reshape(10, 4)
+        scan = fp[3:4] + 0.5
+        scan[0, 2] = np.nan
+        tracer = Tracer(sample_every=1)
+        root = tracer.start("batch")
+        with forced(path), tracer.activate(root):
+            completer(fp, fp.mean(axis=0), path).complete(scan)
+        names = [c.name for c in root.children]
+        assert ("completion.gemm" in names) == (path != "scan"), names
+
 
 def partition(draw, rng, n):
     """Any partition keeps the fills exact: random ids with empty
@@ -297,23 +315,29 @@ def test_rows_match_oracle_alone_and_in_batch(case):
         del completion, tensor
 
 
+def bound_nbytes(search):
+    """Bytes of the bound state ``search`` has built."""
+    return sum(
+        int(a.nbytes) for a in search._bound if isinstance(a, np.ndarray)
+    )
+
+
 class TestMemoryAccounting:
+    """A registry charges a shard's footprint once, at load, so the
+    footprint counts the lazily built bound state of both searches
+    (completion's and the brute estimator's) from the start."""
+
     def test_footprint_counts_the_bound_and_keeps_the_map_mapped(self):
         n, d = 600, 12
         rng = np.random.default_rng(5)
         fp = rng.uniform(-95.0, -20.0, size=(n, d))
         locations = rng.uniform(0.0, 50.0, size=(n, 2))
         fill = fp.mean(axis=0)
+        estimator = WKNNEstimator().fit(fp, locations)
+        assert estimator.index is None
         with tempfile.TemporaryDirectory() as tmp, forced("bound"):
             completion = MapCompletion(mapped_copy(fp, tmp), fill)
-            shard = VenueShard(
-                "mall",
-                d,
-                WKNNEstimator().fit(fp, locations),
-                None,
-                fill,
-                completion,
-            )
+            shard = VenueShard("mall", d, estimator, None, fill, completion)
             resident, mapped = shard.footprint()
             assert mapped == fp.nbytes
 
@@ -322,13 +346,14 @@ class TestMemoryAccounting:
             scans[:, 0] = -50.0
             shard.locate(scans)
 
-            resident_after, mapped_after = shard.footprint()
-            # The map stays served in place; the only new anonymous
-            # state is the float32 bound matrix [C∘C | C] and the
-            # per-AP centre.
-            assert mapped_after == mapped
+            # The batch built both bound states, float32 [C∘C | C] and
+            # the per-AP centre, and the footprint already held them.
+            # The map stays served in place.
+            for search in (completion._search, estimator._search):
+                assert bound_nbytes(search) == search.nbytes()
+                assert search.nbytes() == n * 2 * d * 4 + d * 8
+            assert shard.footprint() == (resident, mapped)
             assert backed_by_memmap(completion.precomputed)
-            assert resident_after - resident == n * 2 * d * 4 + d * 8
             del shard, completion
 
     def test_footprint_counts_the_buckets_of_an_index_backed_shard(self):
@@ -344,21 +369,33 @@ class TestMemoryAccounting:
             completion = MapCompletion(mapped_copy(fp, tmp), fill)
             shard = VenueShard("mall", d, estimator, None, fill, completion)
             resident, mapped = shard.footprint()
+            assert mapped == fp.nbytes
+            # The index's share is its float32 extended block; the
+            # brute search an indexed estimator never runs is not
+            # charged.
+            est_arrays = estimator_payload(estimator)[2].values()
+            index_share = (
+                resident
+                - completion.resident_nbytes()
+                - fill.nbytes
+                - sum(a.nbytes for a in est_arrays)
+            )
+            assert index_share == estimator.index._ext32.nbytes
 
             scans = fp[:4] + rng.normal(0.0, 2.0, size=(4, d))
             scans[rng.random(scans.shape) < 0.3] = np.nan
             scans[:, 0] = -50.0
             shard.locate(scans)
 
-            resident_after, mapped_after = shard.footprint()
-            assert mapped_after == mapped == fp.nbytes
-            # On top of W and the centre: the bucket-order permutation,
-            # the bucket row offsets and each bucket's box (centre and
-            # half-width per AP).
-            assert resident_after - resident == (
+            # W and the centre, the bucket-order permutation, the
+            # bucket row offsets and each bucket's box (centre and
+            # half-width per AP), all charged before the batch.
+            search = completion._search
+            assert bound_nbytes(search) == search.nbytes() == (
                 n * 2 * d * 4 + d * 8 + n * 8 + (buckets + 1) * 8
                 + 2 * buckets * d * 8
             )
+            assert shard.footprint() == (resident, mapped)
             del shard, completion
 
 
@@ -394,7 +431,7 @@ class TestIndexBackedShard:
         completion = shard.completion
         index = shard.estimator.index
         assert np.unique(index.assign).size > 1
-        assert completion._assign is index.assign
+        assert completion._search.assign is index.assign
         expected = full_sweep(completion, scans)
         np.testing.assert_array_equal(completion.complete(scans), expected)
         for i in range(len(scans)):
@@ -436,23 +473,12 @@ class TestIndexBackedShard:
         )
 
 
-def log_distance_map(n, d, seed):
-    """A log-distance path-loss map over a 200 m square."""
-    rng = np.random.default_rng(seed)
-    aps = rng.uniform(0.0, 200.0, size=(d, 2))
-    rps = rng.uniform(0.0, 200.0, size=(n, 2))
-    dist = np.linalg.norm(rps[:, None, :] - aps[None, :, :], axis=2)
-    rssi = -30.0 - 30.0 * np.log10(np.maximum(dist, 1.0))
-    rssi += rng.normal(0.0, 3.0, size=rssi.shape)
-    return np.clip(rssi, -95.0, -20.0)
-
-
 @pytest.mark.slow
-def test_fleet_scale_map_reads_a_minority_of_buckets():
+def test_fleet_scale_map_reads_a_minority_of_buckets(fleet_scale_map):
     """On a 32768 × 96 map, single-row completions through the
     index's buckets equal the full sweep and read a median of at most
     60% of the map's rows."""
-    fp = log_distance_map(32768, 96, seed=21)
+    fp = fleet_scale_map
     fill = fp.mean(axis=0)
     rng = np.random.default_rng(22)
     scans = fp[rng.integers(0, len(fp), 64)]

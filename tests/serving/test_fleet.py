@@ -261,7 +261,8 @@ def test_fleet_respawns_crashed_worker_bit_identical(city):
         # The dead worker is detected, respawned, and the venue
         # re-loaded from the store on the next query for it.
         deadline = time.monotonic() + 30.0
-        while fleet._workers[victim].proc.pid == pid:
+        # ``proc`` is None while the respawn starts the new process.
+        while getattr(fleet._workers[victim].proc, "pid", pid) == pid:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         second = fleet.locate(venue, row, timeout=60.0)
@@ -320,7 +321,8 @@ def test_fleet_resubmits_each_buffered_row_once_after_crash(
         pid = worker.proc.pid
         os.kill(pid, signal.SIGKILL)
         deadline = time.monotonic() + 30.0
-        while worker.proc.pid == pid:
+        # ``proc`` is None while the respawn starts the new process.
+        while getattr(worker.proc, "pid", pid) == pid:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         if late_bundle:
