@@ -279,7 +279,8 @@ def backed_by_memmap(a: np.ndarray) -> bool:
     while isinstance(node, np.ndarray):
         if isinstance(node, np.memmap):
             return True
-        if isinstance(node.base, mmap.mmap):
+        # numpy 2 reaches a raw buffer through a memoryview.
+        if isinstance(getattr(node.base, "obj", node.base), mmap.mmap):
             return True
         node = node.base
     return False

@@ -197,7 +197,7 @@ class NearestNeighbourEstimator(LocationEstimator):
         """Install the search state for the current ``_fp``: the
         index (or None) and the brute path's search."""
         self._index = index
-        self._search = MapSearch(self._fp, stage="brute")
+        self._search = MapSearch(self._fp)
 
     def _wants_index(self, n_records: int) -> bool:
         mode = self.spatial_index
@@ -250,7 +250,7 @@ class NearestNeighbourEstimator(LocationEstimator):
         if index is not None and k < n:
             d2k, idx = index.query(queries, k)
         else:
-            d2k, idx = self._search.query(queries, k)
+            d2k, idx = self._search.query(queries, k, stage="brute")
         return np.sqrt(d2k), self._loc[idx]
 
     def _predict_batch(self, queries: np.ndarray) -> np.ndarray:

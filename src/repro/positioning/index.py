@@ -360,12 +360,13 @@ class MapSearch:
     the only derived matrix.  A traced bound batch records
     ``<stage>.bound``, ``<stage>.gemm`` (meta ``rows_read``, rows of
     ``W`` swept) and ``<stage>.finish`` (meta ``candidates``) as
-    children of the active span; untraced, nothing is timed.
+    children of the active span, ``stage`` naming the caller
+    (``brute`` or ``completion``), so one search can serve both users
+    of a map; untraced, nothing is timed.
     """
 
-    def __init__(self, refs: np.ndarray, *, stage: str):
+    def __init__(self, refs: np.ndarray):
         self.refs = refs
-        self.stage = stage
         #: The bucket assignment the bound is laid out in, if any.
         self.assign: Optional[np.ndarray] = None
         self._bound: Optional[_Bound] = None
@@ -383,7 +384,7 @@ class MapSearch:
         n, d = self.refs.shape
         total = n * 2 * d * 4 + d * 8
         if self.assign is not None:
-            nb = np.count_nonzero(np.bincount(self.assign))
+            nb = int(np.count_nonzero(np.bincount(self.assign)))
             total += n * 8 + (nb + 1) * 8 + 2 * nb * d * 8
         return total
 
@@ -490,7 +491,12 @@ class MapSearch:
         return off[edges[::2]], off[edges[1::2]]
 
     def query(
-        self, q: np.ndarray, k: int, mask: Optional[np.ndarray] = None
+        self,
+        q: np.ndarray,
+        k: int,
+        mask: Optional[np.ndarray] = None,
+        *,
+        stage: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(d2, ids)`` of each row's ``min(k, N)`` nearest records.
 
@@ -498,17 +504,22 @@ class MapSearch:
         APs, where ``q`` must hold zeros elsewhere; ``None`` means
         every AP is heard.
         """
-        return self._find(q, k, mask, True)
+        return self._find(q, k, mask, True, stage)
 
     def nearest(
-        self, q: np.ndarray, k: int, mask: Optional[np.ndarray] = None
+        self,
+        q: np.ndarray,
+        k: int,
+        mask: Optional[np.ndarray] = None,
+        *,
+        stage: str,
     ) -> np.ndarray:
         """The ids :meth:`query` returns, each row in record order:
         without the order, a row left with exactly ``k`` candidates
         needs no exact distances at all."""
-        return np.sort(self._find(q, k, mask, False)[1], axis=1)
+        return np.sort(self._find(q, k, mask, False, stage)[1], axis=1)
 
-    def _find(self, q, k, mask, ordered):
+    def _find(self, q, k, mask, ordered, stage):
         """:meth:`query`, or with ``ordered`` False the same ids
         possibly out of order and without their distances."""
         refs = self.refs
@@ -587,14 +598,14 @@ class MapSearch:
             out = select_k_nearest(q, refs, k, qi, ri, mask)
         if span is not None:
             t3 = time.perf_counter()
-            span.child(f"{self.stage}.bound", duration=t1 - t0)
+            span.child(f"{stage}.bound", duration=t1 - t0)
             span.child(
-                f"{self.stage}.gemm",
+                f"{stage}.gemm",
                 duration=t2 - t1,
                 meta={"rows_read": int(s.shape[1])},
             )
             span.child(
-                f"{self.stage}.finish",
+                f"{stage}.finish",
                 duration=t3 - t2,
                 meta={"candidates": int(qi.size)},
             )

@@ -32,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..artifacts import backed_by_memmap
 from ..bisim import OnlineImputer
 from ..exceptions import ServingError
 from ..positioning.index import MapSearch
@@ -55,12 +54,6 @@ class MeanFillCompletion:
             np.isfinite(queries), queries, self.fill_values[None, :]
         )
 
-    def resident_nbytes(self) -> int:
-        return int(self.fill_values.nbytes)
-
-    def mapped_nbytes(self) -> int:
-        return 0
-
 
 class EncoderCompletion:
     """Run the trained BiSIM encoder over the batch (PR-5 semantics)."""
@@ -70,29 +63,9 @@ class EncoderCompletion:
         #: True when this completer stands in for a precomputed tensor
         #: that failed validation — the service counts these.
         self.fallback = fallback
-        self._nbytes: Optional[int] = None
 
     def complete(self, queries: np.ndarray) -> np.ndarray:
         return self.online.impute_batch(queries, squeeze=False)
-
-    def resident_nbytes(self) -> int:
-        # Best effort via the checkpoint payload (model weights +
-        # context index); computed once — the registry only asks at
-        # load/evict frequency.
-        if self._nbytes is None:
-            try:
-                from ..bisim.checkpoint import online_payload
-
-                _, arrays, _ = online_payload(self.online)
-                self._nbytes = int(
-                    sum(np.asarray(a).nbytes for a in arrays.values())
-                )
-            except Exception:
-                self._nbytes = 0
-        return self._nbytes
-
-    def mapped_nbytes(self) -> int:
-        return 0
 
 
 class MapCompletion:
@@ -107,8 +80,12 @@ class MapCompletion:
     brute-force estimator's kernel finds them
     (:class:`~repro.positioning.index.MapSearch`, masked; its
     docstring holds the bound's proof), so a fill depends only on the
-    scan and the map.  A shard whose estimator indexes the same
-    records partitions the search by the index's buckets.
+    scan and the map.
+
+    A shard's builders pass the estimator's map here, and the shard
+    then hands this completion the estimator's search: one map, one
+    bound for both users, partitioned by the index's buckets when the
+    estimator has an index (see :class:`~repro.serving.VenueShard`).
     """
 
     def __init__(
@@ -141,7 +118,9 @@ class MapCompletion:
             else np.asarray(fill_values, dtype=float)
         )
         self.k = int(k)
-        self._search = MapSearch(precomputed, stage="completion")
+        #: A shard whose estimator holds this same map replaces this
+        #: with the estimator's search, so one bound serves both.
+        self._search = MapSearch(precomputed)
 
     def complete(self, queries: np.ndarray) -> np.ndarray:
         q = np.asarray(queries, dtype=float)
@@ -164,34 +143,13 @@ class MapCompletion:
             # matrix: fancy indexing already copied it out of ``out``.
             qz = out[partial]
             qz[~mask] = 0.0
-            ids = self._search.nearest(qz, self.k, mask)
+            ids = self._search.nearest(qz, self.k, mask, stage="completion")
             fills = self.precomputed[ids].mean(axis=1)
             # Observed slots still hold the query values — only the
             # zeroed missing slots take the KNN fills.
             np.copyto(qz, fills, where=~mask)
             out[partial] = qz
         return out
-
-    def resident_nbytes(self) -> int:
-        """Bytes of completion state living in anonymous memory.
-
-        The search's bound state counts from the map's shape whether
-        or not a batch has built it yet, so the figure a registry
-        charges at load does not grow under it.
-        """
-        n = 0
-        if not backed_by_memmap(self.precomputed):
-            n += int(self.precomputed.nbytes)
-        n += self._search.nbytes()
-        if self.fill_values is not None:
-            n += int(self.fill_values.nbytes)
-        return n
-
-    def mapped_nbytes(self) -> int:
-        """Bytes of completion state served through a memory map."""
-        if backed_by_memmap(self.precomputed):
-            return int(self.precomputed.nbytes)
-        return 0
 
 
 def completion_from(

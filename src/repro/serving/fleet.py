@@ -12,7 +12,7 @@ tiers that fix both, on top of the existing warm-start artifacts:
     query** from an :class:`~repro.artifacts.ArtifactStore`.  The
     first load is a fully-verified
     :func:`~repro.artifacts.load_artifact` (schema, kind, content
-    hash) that memory-maps the precomputed completion tensor; the
+    hash) that memory-maps the shard's one radio map; the
     registry then caches the artifact's member byte offsets
     (:func:`~repro.artifacts.mappable_members`), so re-loading an
     evicted venue re-attaches every array as a read-only memory map in
@@ -85,7 +85,7 @@ from ..exceptions import ArtifactError, ServingError
 from ..obs import MetricsRegistry, Telemetry, Tracer
 from .keys import ShardKey, coerce_key
 from .pipeline import Ticket, settle
-from .service import SHARD_KIND, PositioningService, VenueShard
+from .service import MAPPED_ARRAYS, SHARD_KIND, PositioningService, VenueShard
 
 __all__ = [
     "FleetStats",
@@ -129,6 +129,8 @@ class RegistryStats:
     shard's footprint into anonymous memory vs read-only maps —
     eviction returns both, but mapped pages were only ever page cache.
     ``peak_bytes`` tracks the high-water total against the budget.
+    ``load_seconds`` is the sum of the ``registry.load_seconds``
+    histogram, one observation per lazy load.
 
     Since the telemetry layer landed this is a *view*: the registry
     keeps its counters in ``registry.*`` metrics on a
@@ -260,7 +262,7 @@ class ShardRegistry:
         self._c_fast = m.counter("registry.fast_reloads")
         self._c_evict = m.counter("registry.evictions")
         self._c_hits = m.counter("registry.hits")
-        self._c_load_s = m.counter("registry.load_seconds")
+        self._h_load = m.histogram("registry.load_seconds")
         self._g_resident = m.gauge("registry.resident_bytes")
         self._g_mapped = m.gauge("registry.mapped_bytes")
         self._g_peak = m.gauge("registry.peak_bytes")
@@ -298,7 +300,7 @@ class ShardRegistry:
                 fast_reloads=int(self._c_fast.value),
                 evictions=int(self._c_evict.value),
                 hits=int(self._c_hits.value),
-                load_seconds=self._c_load_s.value,
+                load_seconds=self._h_load.total,
                 resident_bytes=int(self._g_resident.value),
                 mapped_bytes=int(self._g_mapped.value),
                 peak_bytes=int(self._g_peak.value),
@@ -357,7 +359,7 @@ class ShardRegistry:
             self._entries[venue] = _Resident(shard, resident, mapped)
             self._order.append(venue)
             self._c_lazy.add(1)
-            self._c_load_s.add(time.perf_counter() - t0)
+            self._h_load.record(time.perf_counter() - t0)
             self._g_resident.add(resident)
             self._g_mapped.add(mapped)
             if self._service is not None:
@@ -381,7 +383,7 @@ class ShardRegistry:
         artifact = load_artifact(
             path,
             expected_kind=SHARD_KIND,
-            mmap_arrays=("precomputed",),
+            mmap_arrays=MAPPED_ARRAYS,
         )
         shard = VenueShard.from_artifact(artifact, key=venue)
         members = mappable_members(path)

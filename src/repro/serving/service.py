@@ -150,28 +150,43 @@ Pipeline = Tuple[
 ]
 
 
-def _with_buckets(pipeline: Pipeline) -> Pipeline:
-    """``pipeline``, its map completion sweeping the index's buckets.
+#: Shard artifact members served as read-only memory maps: the one
+#: imputed map, and its second copy in the older two-copy layout.
+MAPPED_ARRAYS = ("estimator.fingerprints", "precomputed")
 
-    When the estimator's spatial index covers as many records as the
-    completion map, the completion lays its bound out in the index's
-    buckets and skips the ones that cannot hold a neighbour (see
-    :class:`~repro.positioning.index.MapSearch`).  Any partition
-    keeps the fills exact, so a map the index was not built on only
-    prunes less.
+
+def _buffer(a: np.ndarray) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """Where an array's bytes start and how they are laid out: equal
+    for two views of one buffer, such as a memory map and the plain
+    array ``np.asarray`` makes of it."""
+    return a.__array_interface__["data"][0], a.shape, a.strides
+
+
+def _one_search(pipeline: Pipeline) -> Pipeline:
+    """``pipeline`` with one search per imputed map.
+
+    When the completion's map is the estimator's map, as every shard
+    builder and :meth:`VenueShard.load` pass it, the completion runs
+    the estimator's :class:`~repro.positioning.index.MapSearch`, so
+    its bound is built and charged once.  When the estimator's index
+    covers as many records as the completion map, that search sweeps
+    the index's buckets; any partition keeps the answers exact, so a
+    map the index was not built on only prunes less.
     """
     estimator, _, _, completion = pipeline
-    index = (
-        estimator.index
-        if isinstance(estimator, NearestNeighbourEstimator)
-        else None
-    )
-    if (
-        isinstance(completion, MapCompletion)
-        and index is not None
-        and index.n_records == completion.precomputed.shape[0]
+    if isinstance(completion, MapCompletion) and isinstance(
+        estimator, NearestNeighbourEstimator
     ):
-        completion._search.partition(index.assign)
+        if estimator.fitted and _buffer(estimator._fp) == _buffer(
+            completion.precomputed
+        ):
+            completion._search = estimator._search
+        index = estimator.index
+        if (
+            index is not None
+            and index.n_records == completion.precomputed.shape[0]
+        ):
+            completion._search.partition(index.assign)
     return pipeline
 
 
@@ -385,7 +400,7 @@ class VenueShard:
         self.n_aps = int(n_aps)
         if completion is None:
             completion = completion_from(online_imputer, fill_values)
-        self._pipeline: Pipeline = _with_buckets(
+        self._pipeline: Pipeline = _one_search(
             (estimator, online_imputer, fill_values, completion)
         )
         self._source: Optional[_ShardSource] = None
@@ -497,13 +512,16 @@ class VenueShard:
         """Persist the deployed shard as one warm-start artifact.
 
         The bundle (kind ``"serving.shard"``) embeds the fitted
-        estimator, the trained online imputer (when present), the
-        per-AP fill values and — for shards completing against a
-        precomputed map — the precomputed tensor itself, so
-        :meth:`load` boots an identical shard in a fresh process
-        without touching the radio map or training.  Shard artifacts
-        are written uncompressed so the precomputed tensor can be
-        memory-mapped straight out of the file at load time.
+        estimator, the trained online imputer (when present) and the
+        per-AP fill values, so :meth:`load` boots an identical shard
+        in a fresh process without touching the radio map or
+        training.  The imputed map is written once, as
+        ``estimator.fingerprints``; a shard completing against it
+        records the map's shape, SHA-256 and ``k`` under
+        ``precomputed`` in the manifest.  Only a completion over a
+        different map also stores that map as a ``precomputed``
+        array.  Shard artifacts are written uncompressed so the map
+        can be memory-mapped straight out of the file at load time.
         """
         estimator, online_imputer, fill_values, completion = (
             self._pipeline
@@ -531,7 +549,8 @@ class VenueShard:
             tensor = np.ascontiguousarray(
                 completion.precomputed, dtype=float
             )
-            arrays["precomputed"] = tensor
+            if completion._search is not getattr(estimator, "_search", None):
+                arrays["precomputed"] = tensor
             config["precomputed"] = {
                 "shape": list(tensor.shape),
                 "sha256": hashlib.sha256(tensor.tobytes()).hexdigest(),
@@ -555,17 +574,19 @@ class VenueShard:
         ``key`` overrides the venue key stored in the artifact, so one
         trained bundle can be deployed under several venue names.
 
-        The precomputed completion tensor (when the artifact declares
-        one) is memory-mapped rather than copied, and validated
-        against the manifest's recorded shape and SHA-256 before use.
-        A tensor that is missing, misshapen or hash-mismatched does
-        **not** fail the load: the shard falls back to on-the-fly
+        The imputed map is memory-mapped rather than copied, and one
+        map serves the estimator and the completion through one search
+        once it validates against the manifest's recorded shape and
+        SHA-256.  An artifact in the older layout, which also stores
+        the map as ``precomputed``, folds onto that one map when the
+        two copies are equal.  A misshapen or hash-mismatched tensor
+        does **not** fail the load: the shard falls back to on-the-fly
         completion (encoder or mean fill, whatever the bundle carries)
         with :attr:`precompute_fallback` set, so old artifacts stay
         servable and the service can count the degradation.
         """
         artifact = load_artifact(
-            path, expected_kind=SHARD_KIND, mmap_arrays=("precomputed",)
+            path, expected_kind=SHARD_KIND, mmap_arrays=MAPPED_ARRAYS
         )
         return cls.from_artifact(artifact, key=key)
 
@@ -626,10 +647,11 @@ class VenueShard:
     ) -> Tuple[Any, bool]:
         """``(completion, is_fallback)`` for a loaded shard artifact.
 
-        Validates the precomputed tensor against the manifest's
-        declared shape and (with ``verify``) SHA-256, and the
-        manifest's ``k`` (at least 1); any mismatch degrades to the
-        legacy on-the-fly completion instead of raising.
+        The tensor is the estimator's map unless the artifact stores a
+        different ``precomputed`` map.  It is validated against the
+        manifest's declared shape and (with ``verify``) SHA-256, and
+        the manifest's ``k`` (at least 1); any mismatch degrades to
+        the legacy on-the-fly completion instead of raising.
         """
         spec = artifact.config.get("precomputed")
         if spec is None:
@@ -638,12 +660,16 @@ class VenueShard:
             # *fallback* when an encoder is being pressed into the
             # serve path the precompute was meant to retire.
             return completion_from(online, fill_values), online is not None
-        tensor = artifact.arrays.get("precomputed")
+        fingerprints = artifact.arrays["estimator.fingerprints"]
+        tensor = artifact.arrays.get("precomputed", fingerprints)
+        if tensor is not fingerprints and np.array_equal(
+            tensor, fingerprints
+        ):
+            # The older two-copy layout: one map, written twice.
+            tensor = fingerprints
         k = int(spec.get("k", 3))
-        valid = (
-            k >= 1
-            and tensor is not None
-            and list(tensor.shape) == list(spec.get("shape", []))
+        valid = k >= 1 and list(tensor.shape) == list(
+            spec.get("shape", [])
         )
         if valid and verify:
             valid = (
@@ -827,7 +853,7 @@ class VenueShard:
                 dirty, new_rows, old_rows,
             )
             return _PreparedUpdate(
-                pipeline=_with_buckets(
+                pipeline=_one_search(
                     (
                         estimator,
                         online,
@@ -1008,57 +1034,44 @@ class VenueShard:
         """``(resident_bytes, mapped_bytes)`` of this shard's pipeline.
 
         Best-effort accounting for memory-budgeted registries:
-        estimator state (a spatial index's derived bucket block, or
-        the brute search's bound state), fill values, completion state
-        and — when the shard
-        retains a trained online imputer for ingest refresh — the
-        imputer's checkpoint payload.  Memory-mapped arrays count as
-        *mapped* (they release to the page cache on eviction) and
-        everything else as *resident*.
+        estimator state (a spatial index's derived bucket block), fill
+        values, the completion's map, the bound state of each search
+        that can run (built or not) and — when the shard retains a
+        trained online imputer — the imputer's checkpoint payload.
+        Each distinct buffer counts once, however many components
+        hold it, and so does each distinct search.  Memory-mapped
+        arrays count as *mapped* (they release to the page cache on
+        eviction) and everything else as *resident*.
         """
         estimator, online, fill_values, completion = self._pipeline
-        resident = mapped = 0
-
-        def tally(array) -> None:
-            nonlocal resident, mapped
-            a = np.asarray(array)
+        arrays = [fill_values, getattr(completion, "fill_values", None)]
+        searches = []
+        try:
+            arrays += estimator_payload(estimator)[2].values()
+        except (ReproError, TypeError, AttributeError):
+            pass
+        if isinstance(estimator, NearestNeighbourEstimator):
+            if estimator.index is not None:
+                # The persisted arrays above miss the derived
+                # bucket-contiguous block, which dominates the index.
+                arrays.append(estimator.index._ext32)
+            elif estimator.fitted:
+                searches.append(estimator._search)
+        if isinstance(completion, MapCompletion):
+            arrays.append(completion.precomputed)
+            searches.append(completion._search)
+        if online is not None:
+            try:
+                arrays += online_payload(online)[1].values()
+            except (ReproError, TypeError, AttributeError):
+                pass
+        resident = sum({id(s): s.nbytes() for s in searches}.values())
+        mapped = 0
+        for a in {_buffer(a): a for a in arrays if a is not None}.values():
             if backed_by_memmap(a):
                 mapped += int(a.nbytes)
             else:
                 resident += int(a.nbytes)
-
-        try:
-            _, _, est_arrays = estimator_payload(estimator)
-        except (ReproError, TypeError, AttributeError):
-            est_arrays = {}
-        for a in est_arrays.values():
-            tally(a)
-        if isinstance(estimator, NearestNeighbourEstimator):
-            index = estimator.index
-            if index is not None:
-                # The persisted arrays above miss the derived
-                # bucket-contiguous block, which dominates the index.
-                tally(index._ext32)
-            else:
-                # The brute search's bound state, built or not.
-                resident += estimator._search.nbytes()
-        if fill_values is not None:
-            tally(fill_values)
-        if completion is not None and hasattr(
-            completion, "resident_nbytes"
-        ):
-            resident += int(completion.resident_nbytes())
-            mapped += int(completion.mapped_nbytes())
-        if online is not None and not isinstance(
-            completion, EncoderCompletion
-        ):
-            # EncoderCompletion already counted the imputer payload.
-            try:
-                _, imp_arrays, _ = online_payload(online)
-            except (ReproError, TypeError, AttributeError):
-                imp_arrays = {}
-            for a in imp_arrays.values():
-                tally(a)
         return resident, mapped
 
 

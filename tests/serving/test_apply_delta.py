@@ -120,7 +120,10 @@ class TestShardParity:
             bisim_config=BiSIMConfig(hidden_size=10, epochs=2),
         )
         trainer = shard.online_imputer.trainer
+        # One imputed map, one search for both users, before and after.
+        assert shard.completion._search is shard.estimator._search
         shard.apply_delta(delta)
+        assert shard.completion._search is shard.estimator._search
 
         merged = apply_radio_map_delta(base_map, delta)
         mask = MNAROnlyDifferentiator().differentiate(merged)

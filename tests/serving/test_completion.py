@@ -33,7 +33,6 @@ from repro.positioning import (
     pairwise_sq_dists,
 )
 from repro.positioning import index as index_module
-from repro.positioning.io import estimator_payload
 from repro.radiomap import RadioMapBuilder
 from repro.serving import MapCompletion, VenueShard, scan_pool
 
@@ -324,8 +323,9 @@ def bound_nbytes(search):
 
 class TestMemoryAccounting:
     """A registry charges a shard's footprint once, at load, so the
-    footprint counts the lazily built bound state of both searches
-    (completion's and the brute estimator's) from the start."""
+    footprint counts the lazily built bound state from the start.  A
+    map the estimator and the completion share is one buffer with one
+    search, and each is charged once."""
 
     def test_footprint_counts_the_bound_and_keeps_the_map_mapped(self):
         n, d = 600, 12
@@ -333,28 +333,43 @@ class TestMemoryAccounting:
         fp = rng.uniform(-95.0, -20.0, size=(n, d))
         locations = rng.uniform(0.0, 50.0, size=(n, 2))
         fill = fp.mean(axis=0)
-        estimator = WKNNEstimator().fit(fp, locations)
-        assert estimator.index is None
         with tempfile.TemporaryDirectory() as tmp, forced("bound"):
-            completion = MapCompletion(mapped_copy(fp, tmp), fill)
+            tensor = mapped_copy(fp, tmp)
+            estimator = WKNNEstimator().fit(tensor, locations)
+            assert estimator.index is None
+            completion = MapCompletion(tensor, fill)
             shard = VenueShard("mall", d, estimator, None, fill, completion)
+            # One map, one search: the completion runs the estimator's.
+            search = estimator._search
+            assert completion._search is search
             resident, mapped = shard.footprint()
+            # The map is charged once, as mapped; the bound state once.
             assert mapped == fp.nbytes
+            assert resident == (
+                search.nbytes() + locations.nbytes + fill.nbytes
+            )
 
             scans = fp[:4] + rng.normal(0.0, 2.0, size=(4, d))
             scans[rng.random(scans.shape) < 0.3] = np.nan
             scans[:, 0] = -50.0
-            shard.locate(scans)
-
-            # The batch built both bound states, float32 [C∘C | C] and
-            # the per-AP centre, and the footprint already held them.
-            # The map stays served in place.
-            for search in (completion._search, estimator._search):
-                assert bound_nbytes(search) == search.nbytes()
-                assert search.nbytes() == n * 2 * d * 4 + d * 8
+            tracer = Tracer(sample_every=1)
+            root = tracer.start("batch")
+            with mock.patch.object(
+                index_module, "_Bound", side_effect=index_module._Bound
+            ) as built, tracer.activate(root):
+                shard.locate(scans)
+            # Both users ran the bound under their own span names, and
+            # the batch built one bound state, float32 [C∘C | C] and
+            # the per-AP centre, which the footprint already held.
+            names = {c.name for c in root.children}
+            assert {"completion.gemm", "brute.gemm"} <= names, names
+            assert built.call_count == 1
+            assert bound_nbytes(search) == search.nbytes()
+            assert search.nbytes() == n * 2 * d * 4 + d * 8
             assert shard.footprint() == (resident, mapped)
+            # The map stays served in place.
             assert backed_by_memmap(completion.precomputed)
-            del shard, completion
+            del shard, completion, estimator, search
 
     def test_footprint_counts_the_buckets_of_an_index_backed_shard(self):
         n, d = 600, 12
@@ -362,25 +377,31 @@ class TestMemoryAccounting:
         fp = rng.uniform(-95.0, -20.0, size=(n, d))
         locations = rng.uniform(0.0, 50.0, size=(n, 2))
         fill = fp.mean(axis=0)
-        estimator = WKNNEstimator(spatial_index="on").fit(fp, locations)
-        buckets = np.unique(estimator.index.assign).size
-        assert buckets > 1
         with tempfile.TemporaryDirectory() as tmp, forced("bound"):
-            completion = MapCompletion(mapped_copy(fp, tmp), fill)
+            tensor = mapped_copy(fp, tmp)
+            estimator = WKNNEstimator(spatial_index="on").fit(
+                tensor, locations
+            )
+            index = estimator.index
+            buckets = np.unique(index.assign).size
+            assert buckets > 1
+            completion = MapCompletion(tensor, fill)
             shard = VenueShard("mall", d, estimator, None, fill, completion)
+            # The one search sweeps the index's buckets.
+            search = completion._search
+            assert search is estimator._search
+            assert search.assign is index.assign
             resident, mapped = shard.footprint()
             assert mapped == fp.nbytes
-            # The index's share is its float32 extended block; the
-            # brute search an indexed estimator never runs is not
-            # charged.
-            est_arrays = estimator_payload(estimator)[2].values()
-            index_share = (
-                resident
-                - completion.resident_nbytes()
-                - fill.nbytes
-                - sum(a.nbytes for a in est_arrays)
+            # The index's share is its persisted arrays and its
+            # float32 extended block; the one search is charged once.
+            assert resident == (
+                locations.nbytes
+                + sum(a.nbytes for a in index.to_arrays().values())
+                + index._ext32.nbytes
+                + fill.nbytes
+                + search.nbytes()
             )
-            assert index_share == estimator.index._ext32.nbytes
 
             scans = fp[:4] + rng.normal(0.0, 2.0, size=(4, d))
             scans[rng.random(scans.shape) < 0.3] = np.nan
@@ -390,13 +411,38 @@ class TestMemoryAccounting:
             # W and the centre, the bucket-order permutation, the
             # bucket row offsets and each bucket's box (centre and
             # half-width per AP), all charged before the batch.
-            search = completion._search
             assert bound_nbytes(search) == search.nbytes() == (
                 n * 2 * d * 4 + d * 8 + n * 8 + (buckets + 1) * 8
                 + 2 * buckets * d * 8
             )
             assert shard.footprint() == (resident, mapped)
-            del shard, completion
+            del shard, completion, estimator, index, search
+
+    def test_footprint_counts_each_distinct_array_once(self):
+        """An in-process indexed shard whose completion map *is* the
+        estimator's map: the footprint is the sum of its distinct
+        arrays plus one bound, not the map twice."""
+        n, d = 8192, 96
+        rng = np.random.default_rng(9)
+        fp = rng.uniform(-95.0, -20.0, size=(n, d))
+        locations = rng.uniform(0.0, 200.0, size=(n, 2))
+        fill = fp.mean(axis=0)
+        estimator = WKNNEstimator(spatial_index="on").fit(fp, locations)
+        completion = MapCompletion(fp, fill)
+        assert estimator._fp is completion.precomputed
+        shard = VenueShard("mall", d, estimator, None, fill, completion)
+        index, search = estimator.index, completion._search
+        assert search is estimator._search
+        distinct = (
+            fp.nbytes
+            + locations.nbytes
+            + sum(a.nbytes for a in index.to_arrays().values())
+            + index._ext32.nbytes
+            + fill.nbytes
+        )
+        assert shard.footprint() == (distinct + search.nbytes(), 0)
+        # About 15.4 MiB: the map once, W once, the index block once.
+        assert sum(shard.footprint()) < 16 << 20
 
 
 def full_sweep(completion, scans):
@@ -498,3 +544,36 @@ def test_fleet_scale_map_reads_a_minority_of_buckets(fleet_scale_map):
         (gemm,) = [c for c in root.children if c.name == "completion.gemm"]
         shares.append(gemm.meta["rows_read"] / len(fp))
     assert np.median(shares) <= 0.6, np.median(shares)
+
+
+@pytest.mark.slow
+def test_brute_venue_builds_one_bound_after_a_round_trip(tmp_path):
+    """A 4095 × 96 venue (one record short of the index) saved,
+    loaded and located builds one ~3 MiB bound for its estimator and
+    its completion, not one each, and answers as the built shard."""
+    n, d = 4095, 96
+    rng = np.random.default_rng(12)
+    fp = rng.uniform(-95.0, -20.0, size=(n, d))
+    locations = rng.uniform(0.0, 100.0, size=(n, 2))
+    fill = fp.mean(axis=0)
+    estimator = WKNNEstimator().fit(fp, locations)
+    shard = VenueShard(
+        "brute", d, estimator, None, fill, MapCompletion(fp, fill)
+    )
+    path = tmp_path / "brute.npz"
+    shard.save(path)
+    loaded = VenueShard.load(path)
+    assert loaded.estimator.index is None
+    search = loaded.completion._search
+    assert search is loaded.estimator._search
+    assert backed_by_memmap(loaded.completion.precomputed)
+    scans = fp[rng.integers(0, n, 8)] + rng.normal(0.0, 2.5, size=(8, d))
+    scans[rng.random(scans.shape) < 0.3] = np.nan
+    with mock.patch.object(
+        index_module, "_Bound", side_effect=index_module._Bound
+    ) as built:
+        out = loaded.locate(scans)
+    assert built.call_count == 1
+    assert bound_nbytes(search) == n * 2 * d * 4 + d * 8
+    assert 3 << 20 <= bound_nbytes(search) < 3.1 * (1 << 20)
+    np.testing.assert_array_equal(out, shard.locate(scans))

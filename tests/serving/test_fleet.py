@@ -457,6 +457,13 @@ def test_fleet_merges_worker_telemetry(city):
     assert (
         m.counter("registry.lazy_loads").value == stats.lazy_loads
     )
+    # Each lazy load is one observation of the load-time histogram,
+    # and each worker's load_seconds is its histogram's sum.
+    loads = m.histogram("registry.load_seconds")
+    assert loads.count == stats.lazy_loads > 0
+    assert loads.total == pytest.approx(
+        sum(w.registry.load_seconds for w in stats.workers)
+    )
     # Gauges arrive relabelled per worker so sources never clobber.
     workers_seen = {
         labels.get("worker")

@@ -63,6 +63,10 @@ class TestIncrementalIndexRebuild:
         shard.apply_delta(delta)
         assert shard.estimator.index is not None
         assert shard.estimator.index is not old_index
+        # The refreshed map's one search sweeps the refreshed buckets.
+        search = shard.completion._search
+        assert search is shard.estimator._search
+        assert search.assign is shard.estimator.index.assign
 
         # From-scratch reference with the same trained imputer.
         merged = apply_radio_map_delta(base_map, delta)

@@ -12,13 +12,24 @@ import json
 import numpy as np
 import pytest
 
+from repro.artifacts import (
+    ArtifactStore,
+    backed_by_memmap,
+    load_artifact,
+    save_artifact,
+)
 from repro.bisim import BiSIMConfig
 from repro.cli import build_shard, main
 from repro.core import TopoACDifferentiator
 from repro.exceptions import ArtifactError, ServingError
 from repro.experiments import PRESETS
 from repro.positioning import KNNEstimator, WKNNEstimator
-from repro.serving import PositioningService, VenueShard
+from repro.serving import (
+    MapCompletion,
+    PositioningService,
+    ShardRegistry,
+    VenueShard,
+)
 
 
 def scans(dataset, n, seed):
@@ -332,6 +343,86 @@ class TestPrecomputeFallback:
         service.reload("kaide", bad)
         assert service.stats.precompute_fallbacks == 1
         assert "precompute fallbacks" in service.stats.render()
+
+
+class TestArtifactLayouts:
+    """``save`` writes a shard's one map once, as the estimator's
+    fingerprints.  A shard loaded from that layout, from the older
+    layout that also stored the map as ``precomputed``, or through a
+    registry's fast re-attach of either, answers bit-identically to
+    the in-process shard, through one search."""
+
+    @pytest.fixture(scope="class", params=["off", "on"])
+    def shard(self, request):
+        rng = np.random.default_rng(31)
+        n, d = 300, 24
+        aps = rng.uniform(0.0, 80.0, size=(d, 2))
+        rps = rng.uniform(0.0, 80.0, size=(n, 2))
+        dist = np.linalg.norm(rps[:, None, :] - aps[None, :, :], axis=2)
+        fp = -30.0 - 30.0 * np.log10(np.maximum(dist, 1.0))
+        fp += rng.normal(0.0, 3.0, size=fp.shape)
+        estimator = WKNNEstimator(spatial_index=request.param)
+        estimator.fit(fp, rps)
+        fill = fp.mean(axis=0)
+        return VenueShard(
+            "venue", d, estimator, None, fill, MapCompletion(fp, fill)
+        )
+
+    @staticmethod
+    def two_copy_layout(path, out):
+        """Re-save ``path`` with the map written a second time."""
+        artifact = load_artifact(path)
+        assert "precomputed" not in artifact.arrays
+        artifact.arrays["precomputed"] = np.array(
+            artifact.arrays["estimator.fingerprints"]
+        )
+        save_artifact(artifact, out, compress=False)
+        return out
+
+    @staticmethod
+    def one_search(shard):
+        search = shard.completion._search
+        assert search is shard.estimator._search
+        assert np.shares_memory(search.refs, shard.completion.precomputed)
+        assert backed_by_memmap(shard.completion.precomputed)
+        assert not shard.precompute_fallback
+
+    def test_every_layout_and_load_path_answers_alike(
+        self, shard, tmp_path
+    ):
+        rng = np.random.default_rng(32)
+        scans = shard.estimator._fp[rng.integers(0, 300, 40)]
+        scans = scans + rng.normal(0.0, 2.5, size=scans.shape)
+        scans[rng.random(scans.shape) < 0.3] = np.nan
+        expected = shard.locate(scans)
+        single = tmp_path / "single.npz"
+        shard.save(single)
+        two_copy = self.two_copy_layout(single, tmp_path / "two_copy.npz")
+        assert single.stat().st_size < two_copy.stat().st_size
+
+        store = ArtifactStore(tmp_path / "store")
+        names = ("single", "two_copy")
+        for name in names:
+            path = tmp_path / f"{name}.npz"
+            store.path_for(name).write_bytes(path.read_bytes())
+            loaded = VenueShard.load(path)
+            self.one_search(loaded)
+            np.testing.assert_array_equal(loaded.locate(scans), expected)
+            for row, want in zip(scans, expected):
+                np.testing.assert_array_equal(
+                    loaded.locate(row[None, :])[0], want
+                )
+
+        registry = ShardRegistry(store, {name: name for name in names})
+        for venue in names:
+            for _ in range(2):
+                reattached = registry.get(venue)
+                self.one_search(reattached)
+                np.testing.assert_array_equal(
+                    reattached.locate(scans), expected
+                )
+                registry.evict(venue)
+        assert registry.stats.fast_reloads == 2
 
 
 class TestCliTrainRoundTrip:
