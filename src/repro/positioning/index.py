@@ -40,7 +40,7 @@ most of the map changed).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -107,17 +107,6 @@ _SCAN_ELEMS = 1 << 14
 #: If fewer than this fraction of rows survive a delta unchanged, an
 #: incremental refresh degenerates; rebuild from scratch instead.
 _REFRESH_MIN_KEPT = 0.5
-
-#: Row cap per stage-2 band.  Bucket ids are spatially ordered (the
-#: grid code is row-major), so a run of consecutive ids is a cluster
-#: of neighbouring cells whose active-query sets overlap heavily —
-#: that keeps the band rectangles dense.  Bigger bands mean fewer
-#: Python iterations but more wasted GEMM rows.
-_BAND_ROWS = 768
-
-#: Row cap per probe band (stage 1b); probe pools are small, so the
-#: cap mostly bounds the per-band rectangle width.
-_PROBE_BAND_ROWS = 1024
 
 #: Difference elements gathered per chunk of the exact finish.  Large
 #: batches (a delta re-locating every cached scan) would otherwise
@@ -548,26 +537,27 @@ class MapSearch:
             qc2 = np.einsum("ij,ij->i", qc, qc)
             margin2 = _BOUND_MARGIN * (d + 2) * (qc2 + state.c2max2)
             if state.perm is None:
-                t1 = tick()
-                # Below 64 rows ``W @ aᵀ`` is the faster GEMM, and the
-                # (b, N) copy makes the row scans contiguous.  From 64
-                # the copy dominates: ``a @ Wᵀ`` takes 15 vs 29 ms at
-                # 64 rows on a 32768 × 96 map, 0.19 vs 0.67 s at 1024.
-                if b < 64:
-                    s = np.ascontiguousarray((w @ a.T).T)
-                else:
-                    s = a @ w.T
+                starts, ends = np.zeros(1, np.int64), np.full(1, n)
             else:
                 starts, ends = self._surviving_runs(
                     state, a, qc, qc2 + margin2, k
                 )
-                t1 = tick()
-                lens = ends - starts
-                dst = np.cumsum(lens) - lens
+            t1 = tick()
+            lens = ends - starts
+            dst = np.cumsum(lens) - lens
+            # Below 64 rows ``W @ aᵀ`` is the faster GEMM, and the
+            # (b, N) copy makes the row scans contiguous.  From 64 the
+            # copy dominates: ``a @ Wᵀ`` takes 15 vs 29 ms at 64 rows
+            # on a 32768 × 96 map, 0.19 vs 0.67 s at 1024.
+            if b < 64:
                 sweep = np.empty((int(lens.sum()), b), dtype=np.float32)
                 for r0, r1, p in zip(starts, ends, dst):
                     np.matmul(w[r0:r1], a.T, out=sweep[p : p + r1 - r0])
                 s = np.ascontiguousarray(sweep.T)
+            else:
+                s = np.empty((b, int(lens.sum())), dtype=np.float32)
+                for r0, r1, p in zip(starts, ends, dst):
+                    np.matmul(a, w[r0:r1].T, out=s[:, p : p + r1 - r0])
             t2 = tick()
             thr = np.partition(s, k - 1, axis=1)[:, k - 1] + margin2
             finite = np.isfinite(s).all(axis=1)
@@ -745,24 +735,6 @@ class SpatialIndex:
         self._box2_lo = np.ascontiguousarray(box_lo[:, :w2])
         self._box2_hi = np.ascontiguousarray(box_hi[:, :w2])
 
-        # Stage-2 band boundaries: bucket-id runs capped at
-        # ``_BAND_ROWS`` rows.  Empty buckets occupy zero rows, so a
-        # run of consecutive ids is always one contiguous slice of
-        # ``_ext32`` — each band is evaluated with a single GEMM
-        # over that slice, no gathers, no extra copy of the map.
-        band_of_bucket = (np.cumsum(self._counts) - 1) // _BAND_ROWS
-        np.maximum(band_of_bucket, 0, out=band_of_bucket)
-        n_bands = int(band_of_bucket.max(initial=0)) + 1
-        # bucket-id boundary of each band (band bd covers ids
-        # [_band_bounds[bd], _band_bounds[bd+1]))
-        bounds = np.searchsorted(
-            band_of_bucket, np.arange(n_bands + 1)
-        )
-        self._band_of_bucket = band_of_bucket
-        self._band_bounds = bounds
-        self._band_rows = self._offsets[bounds]
-        self._n_bands = n_bands
-
     # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
@@ -858,17 +830,17 @@ class SpatialIndex:
         the brute-force estimator path uses, so the two are
         bit-identical.
 
-        Both GEMM stages run over *bands* — runs of consecutive bucket
-        ids capped at a row budget — so the Python iteration count is
-        O(bands), not O(buckets).  The probe pool extracts exactly the
-        probed ``(query, bucket)`` pair values from each band
-        rectangle through one flat CSR gather; stage 2 thresholds the
-        whole band rectangle first and compacts with a single
-        ``flatnonzero`` (over-inclusion is free: every kept pair is
-        re-evaluated exactly in stage 3, and each bucket lives in
-        exactly one band so no pair can appear twice).  Probe buckets
-        are *not* excluded from stage 2 — re-filtering their few rows
-        costs less than masking them out of the rectangles, and the
+        The bucket is the unit of work of both GEMM stages: each
+        distinct probed bucket (stage 1b) and each active bucket
+        (stage 2) runs one float32 GEMM of the rows paired with it
+        against its contiguous slice of the map, so a batch reads only
+        its own buckets however far apart they lie, and the Python
+        iteration count is O(buckets touched).  The probe pools every
+        value it computes; stage 2 thresholds each block first and
+        compacts it with a single ``flatnonzero`` (over-inclusion is
+        free: every kept pair is re-evaluated exactly in stage 3).
+        Probe buckets are *not* excluded from stage 2 — re-filtering
+        their few rows costs less than masking them out, and the
         probe pool is used only for the upper bound.
         """
         q = np.ascontiguousarray(queries, dtype=float)
@@ -929,7 +901,7 @@ class SpatialIndex:
         # extended reference rows [C_r, 1, c2] evaluates the full f32
         # expansion d2 = -2g + qf + c2 fused (the *2 scaling is exact
         # in binary floating point).  Stage 2 later overwrites the qf
-        # slot with qf - t so its rectangles compare against zero.
+        # slot with qf - t so its blocks compare against zero.
         dq = centered32.shape[1]
         qext = np.empty((b, dq + 2), dtype=np.float32)
         np.multiply(centered32, np.float32(-2.0), out=qext[:, :dq])
@@ -937,56 +909,22 @@ class SpatialIndex:
         qext[:, dq + 1] = 1.0
         t0 = tick()
 
-        # ---- stage 1b: banded probe pool ---------------------------
-        # Probe pairs sorted by bucket id; bands chunk the distinct
-        # probed buckets at ~_PROBE_BAND_ROWS probed rows.  Each band
-        # GEMMs the contiguous id-range slice (interleaved un-probed
-        # rows ride along in the GEMM but are never extracted).
+        # ---- stage 1b: probe pool, one GEMM per probed bucket ------
+        # ``gram.ravel()`` is row-major over (query, bucket row), so
+        # with the pairs sorted by (bucket, query) the pool's query ids
+        # are each pair's query repeated over its bucket's rows.
         pq = np.repeat(np.arange(b), n_probe)
         pb = near[pq, _ramp(n_probe)]
         order = np.argsort(pb, kind="stable")
         pq, pb = pq[order], pb[order]
-        ubuck, bucket_pos = np.unique(pb, return_inverse=True)
-        bsz = self._counts[ubuck]
-        pband_of_bucket = (np.cumsum(bsz) - 1) // _PROBE_BAND_ROWS
-        n_pbands = int(pband_of_bucket[-1]) + 1 if bsz.size else 0
-        pband = pband_of_bucket[bucket_pos]
-        # band -> contiguous bucket-id range [lo, hi)
-        pb_seg = np.searchsorted(
-            pband_of_bucket, np.arange(n_pbands + 1)
+        pool_v = np.concatenate(
+            [g.ravel() for _, _, g in self._bucket_grams(qext, pq, pb)]
         )
-        offsets = self._offsets
-        lens_p = bsz[bucket_pos]
-        pair_seg = np.searchsorted(pband, np.arange(n_pbands + 1))
-        # element ramp + per-pair output offsets, shared across bands
-        pos_ramp = _ramp(lens_p)
-        lens_cum = np.concatenate([[0], np.cumsum(lens_p)])
-        pool_qi = np.repeat(pq, lens_p)
-        pool_parts: List[np.ndarray] = []
-        for bd in range(n_pbands):
-            blo = ubuck[pb_seg[bd]]
-            bhi = ubuck[pb_seg[bd + 1] - 1] + 1
-            s, e = offsets[blo], offsets[bhi]
-            ps, pe = pair_seg[bd], pair_seg[bd + 1]
-            qrows = np.unique(pq[ps:pe])
-            qpos = np.empty(b, np.int64)
-            qpos[qrows] = np.arange(qrows.size)
-            gram = qext[qrows] @ self._ext32[s:e].T
-            # flat CSR extraction of the probed pair values
-            width = e - s
-            head = qpos[pq[ps:pe]] * width + (offsets[pb[ps:pe]] - s)
-            flat = np.repeat(head, lens_p[ps:pe])
-            flat += pos_ramp[lens_cum[ps]:lens_cum[pe]]
-            pool_parts.append(gram.ravel()[flat])
-        pool_v = (
-            np.concatenate(pool_parts)
-            if pool_parts
-            else np.empty(0, np.float32)
-        )
+        pool_qi = np.repeat(pq, self._counts[pb])
         t1 = tick()
 
         # ---- pooled k-th -> upper bound ----------------------------
-        ub = self._csr_kth(pool_qi, pool_v, lens_p, pq, b, k)
+        ub = self._pooled_kth(pool_qi, pool_v, b, k)
         ub = ub * _PAD_UB + margin
         thresh32 = (ub + margin).astype(np.float32)
         t2 = tick()
@@ -1012,63 +950,37 @@ class SpatialIndex:
         aqi, abi = aqi[keep], abi[keep]
         t3 = tick()
 
-        # ---- stage 2: banded rectangles, threshold-first compaction
-        # With the qf slot rewritten to qf - t, each fused rectangle
-        # holds d2 - t directly and survivors are just gram <= 0 — one
-        # GEMM and one scan per band, nothing elementwise in between.
+        # ---- stage 2: one GEMM per active bucket, threshold first --
+        # With the qf slot rewritten to qf - t, each fused block holds
+        # d2 - t directly and survivors are just gram <= 0 — one GEMM
+        # and one scan per bucket, nothing elementwise in between.
         # The fused accumulation rounds differently from the legacy
         # three-pass expansion, but both stay within the shared f32
         # margin, which is all stage 2 ever promises.
         qext[:, dq] = qf32 - thresh32
-        pair_band = self._band_of_bucket[abi]
-        code = pair_band * np.int64(b) + aqi
-        code = np.unique(code)
-        act_q = (code % b).astype(np.int64)
-        band_seg = np.searchsorted(
-            code // b, np.arange(self._n_bands + 1)
-        )
-        # active-bucket id range per band: trims each rectangle's
-        # columns to the rows its surviving buckets actually occupy
-        # instead of paying the full band slice.
-        bord = np.argsort(pair_band, kind="stable")
-        abi_bb = abi[bord]
-        bband_seg = np.searchsorted(
-            pair_band[bord], np.arange(self._n_bands + 1)
-        )
-        qi_parts: List[np.ndarray] = []
-        ri_parts: List[np.ndarray] = []
-        v_parts: List[np.ndarray] = []
+        order = np.argsort(abi, kind="stable")
+        qi_parts: List[np.ndarray] = [np.empty(0, np.int64)]
+        ri_parts: List[np.ndarray] = [np.empty(0, np.int64)]
+        v_parts: List[np.ndarray] = [np.empty(0, np.float32)]
         gemm_rows = 0
-        for bd in range(self._n_bands):
-            clo, chi = band_seg[bd], band_seg[bd + 1]
-            if clo == chi:
-                continue
-            rows = act_q[clo:chi]
-            bks = abi_bb[bband_seg[bd]:bband_seg[bd + 1]]
-            s = offsets[int(bks.min())]
-            e = offsets[int(bks.max()) + 1]
-            gram = qext[rows] @ self._ext32[s:e].T
+        for rows, s, gram in self._bucket_grams(
+            qext, aqi[order], abi[order]
+        ):
             gflat = gram.ravel()
+            gemm_rows += gflat.size
             flat = np.flatnonzero(gflat <= 0.0)
-            width = e - s
-            gemm_rows += rows.size * width
-            qi_parts.append(rows[flat // width])
-            ri_parts.append(s + flat % width)
-            v_parts.append(gflat[flat])
-        qi = (
-            np.concatenate(qi_parts)
-            if qi_parts
-            else np.empty(0, np.int64)
-        )
-        ri = (
-            np.concatenate(ri_parts)
-            if ri_parts
-            else np.empty(0, np.int64)
-        )
+            # Most blocks of a small batch keep nothing.
+            if flat.size:
+                row, col = np.divmod(flat, gram.shape[1])
+                qi_parts.append(rows[row])
+                ri_parts.append(col + s)
+                v_parts.append(gflat[flat])
+        qi = np.concatenate(qi_parts)
+        ri = np.concatenate(ri_parts)
         t4 = tick()
 
         # ---- f32 refine: shrink the exact finish ------------------
-        # The rectangles already evaluated every candidate's f32
+        # The stage-2 blocks already evaluated every candidate's f32
         # ``d2 - t``; adding ``t`` back (exactly, in f64) recovers an
         # estimate within the f32 margin of the true distance.  Its
         # per-query k-th is at most ``margin`` below the k-th true
@@ -1101,63 +1013,29 @@ class SpatialIndex:
             )
         return out
 
-    def _csr_kth(
-        self,
-        pool_qi: np.ndarray,
-        pool_v: np.ndarray,
-        lens_p: np.ndarray,
-        pair_q: np.ndarray,
-        b: int,
-        k: int,
-    ) -> np.ndarray:
-        """Per-query k-th smallest of the banded probe pool.
+    def _bucket_grams(
+        self, qext: np.ndarray, qi: np.ndarray, bi: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, int, np.ndarray]]:
+        """One fused float32 GEMM per distinct bucket of the ``(query,
+        bucket)`` pairs ``(qi, bi)``, which arrive sorted by bucket.
 
-        The pool arrives as per-``(query, bucket)`` blocks of
-        contiguous values (``lens_p[i]`` values for the pair whose
-        query is ``pair_q[i]``), so each block's scatter position
-        inside its query's row follows from the block lengths alone —
-        no per-element sort.  When one query's pool would blow the
-        dense ``(b, width)`` scatter past :data:`_DENSE_SELECT_CAP`,
-        selection falls back to the O(candidates) segment path.
+        Yields ``(rows, s, gram)``: the queries paired with the
+        bucket, its first row ``s`` of ``_ext32`` and ``qext[rows] @
+        _ext32[s:e].T``.  A bucket's records are one contiguous slice,
+        so the GEMM reads exactly them, with no gather or copy of the
+        map.
         """
-        counts = np.bincount(pool_qi, minlength=b)
-        width = int(counts.max(initial=0))
-        if b * width <= max(4 * pool_v.size, _DENSE_SELECT_CAP):
-            border = np.argsort(pair_q, kind="stable")
-            lens_sorted = lens_p[border]
-            ends = np.cumsum(lens_sorted)
-            block_start = ends - lens_sorted
-            qseg = np.searchsorted(
-                pair_q[border], np.arange(b + 1)
-            )
-            first = np.repeat(
-                block_start[
-                    np.minimum(qseg[:-1], max(lens_sorted.size - 1, 0))
-                ],
-                np.diff(qseg),
-            )
-            start_in_q = np.empty(lens_p.size, np.int64)
-            start_in_q[border] = block_start - first
-            pos = np.repeat(start_in_q, lens_p) + _ramp(lens_p)
-            pool = np.full((b, width), np.inf, dtype=pool_v.dtype)
-            pool[pool_qi, pos] = pool_v
-            if width <= k:
-                kth = pool.max(axis=1, initial=0.0)
-            else:
-                kth = np.partition(pool, k - 1, axis=1)[:, k - 1]
-                kth[counts < k] = np.inf
-        else:
-            order = np.lexsort((pool_v, pool_qi))
-            seg = np.searchsorted(
-                pool_qi[order], np.arange(b + 1)
-            )
-            kth = np.full(b, np.inf)
-            ok = counts >= k
-            picks = np.minimum(
-                seg[:-1] + k - 1, max(pool_v.size - 1, 0)
-            )
-            kth[ok] = pool_v[order][picks[ok]]
-        return np.maximum(np.asarray(kth, dtype=np.float64), 0.0)
+        heads = np.flatnonzero(np.diff(bi, prepend=-1))
+        tails = np.append(heads[1:], bi.size)
+        starts = self._offsets[bi[heads]]
+        ends = self._offsets[bi[heads] + 1]
+        # One gather for every pair: each bucket's query block is then
+        # a contiguous slice of it.
+        qpairs = qext[qi]
+        for h, t, s, e in zip(
+            heads.tolist(), tails.tolist(), starts.tolist(), ends.tolist()
+        ):
+            yield qi[h:t], s, qpairs[h:t] @ self._ext32[s:e].T
 
     @staticmethod
     def _pooled_kth(
@@ -1165,9 +1043,9 @@ class SpatialIndex:
     ) -> np.ndarray:
         """Per-query k-th smallest of a pooled ``(qi, value)`` set.
 
-        ``values`` arrives float32 from the block filter and is
-        selected at that width; only the chosen bound widens to f64
-        (exactly).  Past :data:`_DENSE_SELECT_CAP` a lexsort over the
+        ``values`` arrives float32 from the probe or the block filter
+        and is selected at that width; only the chosen bound widens to
+        f64 (exactly).  Past :data:`_DENSE_SELECT_CAP` a lexsort over the
         candidates replaces the dense ``(b, width)`` scatter, so one
         query with a huge pool cannot pad every row to its width.
         """

@@ -12,12 +12,12 @@ tiers that fix both, on top of the existing warm-start artifacts:
     query** from an :class:`~repro.artifacts.ArtifactStore`.  The
     first load is a fully-verified
     :func:`~repro.artifacts.load_artifact` (schema, kind, content
-    hash) that memory-maps the shard's one radio map; the
-    registry then caches the artifact's member byte offsets
-    (:func:`~repro.artifacts.mappable_members`), so re-loading an
-    evicted venue re-attaches every array as a read-only memory map in
-    microseconds — no zip walk, no JSON, no re-hash — as long as the
-    file's mtime+size still match the verified load.  Under a
+    hash); the registry then caches the artifact's member byte offsets
+    (:func:`~repro.artifacts.mappable_members`) and serves every array
+    as a read-only memory map of the verified file, so re-loading an
+    evicted venue re-attaches the same maps in microseconds — no zip
+    walk, no JSON, no re-hash — as long as the file's mtime+size still
+    match the verified load.  Under a
     configurable memory budget the registry evicts the least recently
     used venues (per-shard resident-size accounting via
     :meth:`~repro.serving.VenueShard.footprint`); attach a
@@ -85,7 +85,7 @@ from ..exceptions import ArtifactError, ServingError
 from ..obs import MetricsRegistry, Telemetry, Tracer
 from .keys import ShardKey, coerce_key
 from .pipeline import Ticket, settle
-from .service import MAPPED_ARRAYS, SHARD_KIND, PositioningService, VenueShard
+from .service import SHARD_KIND, PositioningService, VenueShard
 
 __all__ = [
     "FleetStats",
@@ -380,12 +380,7 @@ class ShardRegistry:
             # Spec went stale (file replaced/retouched): fall through
             # to a full verified load, which refreshes it.
             del self._specs[venue]
-        artifact = load_artifact(
-            path,
-            expected_kind=SHARD_KIND,
-            mmap_arrays=MAPPED_ARRAYS,
-        )
-        shard = VenueShard.from_artifact(artifact, key=venue)
+        artifact = load_artifact(path, expected_kind=SHARD_KIND)
         members = mappable_members(path)
         if set(artifact.arrays) <= set(members):
             # Every tensor is re-attachable: remember where the bytes
@@ -393,7 +388,7 @@ class ShardRegistry:
             # walk and the content re-hash.  mtime+size pin the spec
             # to the exact file that passed verification.
             st = os.stat(path)
-            self._specs[venue] = _LoadSpec(
+            spec = self._specs[venue] = _LoadSpec(
                 path=str(path),
                 mtime_ns=st.st_mtime_ns,
                 size=st.st_size,
@@ -403,6 +398,11 @@ class ShardRegistry:
                 config=artifact.config,
                 metrics=artifact.metrics,
             )
+            # Serve the verified bytes the way a fast reload does,
+            # every member mapped, so the venue's resident/mapped
+            # split does not depend on which path loaded it.
+            artifact.arrays.update(attach_members(path, spec.members))
+        shard = VenueShard.from_artifact(artifact, key=venue)
         return shard, False
 
     def _try_fast_load(

@@ -148,3 +148,22 @@ def test_fleet_scale_brute_rows_match_the_oracle(fleet_scale_map):
         )
         np.testing.assert_array_equal(ids, want)
         np.testing.assert_array_equal(dists, np.sqrt(d2))
+
+
+@pytest.mark.slow
+def test_fleet_scale_indexed_batches_match_the_oracle(fleet_scale_map):
+    """On a 32768 × 96 map, 64 rows through the spatial index in
+    batches of 1, 2, 4, 8 and 64 return the oracle's neighbours bit for
+    bit, whichever buckets their batch-mates probe and filter."""
+    fp = fleet_scale_map
+    rng = np.random.default_rng(24)
+    scans = fp[rng.integers(0, len(fp), 64)]
+    scans = scans + rng.normal(0.0, 2.5, size=scans.shape)
+    est = fit(fp, 3, "on")
+    assert est.index is not None
+    d2, want = canonical_k_smallest(pairwise_sq_dists(scans, fp), 3)
+    for b in (1, 2, 4, 8, 64):
+        for s in range(0, len(scans), b):
+            dists, ids = neighbours(est, scans[s : s + b])
+            np.testing.assert_array_equal(ids, want[s : s + b])
+            np.testing.assert_array_equal(dists, np.sqrt(d2[s : s + b]))

@@ -250,6 +250,59 @@ class TestKernelParity:
         np.testing.assert_array_equal(ids, eids)
         np.testing.assert_array_equal(d2, ed2)
 
+    @pytest.mark.parametrize("b", [2, 3, 5, 8])
+    def test_rows_from_distant_buckets(self, b):
+        # One row from each of b buckets spread over the id range, so
+        # a batch probes and filters buckets far apart in the map.
+        fp, _ = synthetic_map(4000, d=16, seed=60)
+        index = SpatialIndex.build(fp)
+        occupied = np.flatnonzero(index._counts)
+        far = occupied[np.linspace(0, occupied.size - 1, b).astype(int)]
+        rows = [np.flatnonzero(index.assign == j)[0] for j in far]
+        rng = np.random.default_rng(61)
+        q = fp[rows] + rng.normal(0.0, 2.5, size=(b, 16))
+        self.kernel_matches_brute(fp, q, 3)
+
+    def test_buckets_smaller_than_k(self):
+        # Buckets of 3 records against k = 8: every row probes at
+        # least three buckets before its pool holds k values.
+        fp, _ = synthetic_map(900, d=12, seed=62)
+        base = SpatialIndex.build(fp)
+        proj = (fp - base.mu) @ base.basis[:, 0]
+        assign = np.argsort(np.argsort(proj, kind="stable")) // 3
+        index = SpatialIndex(fp, base.mu, base.basis, assign)
+        assert index._counts.max() < 8
+        q = queries_near(fp, 24, seed=63)
+        d2, ids = index.query(q, 8)
+        ed2, eids = brute_exact(q, fp, 8)
+        np.testing.assert_array_equal(ids, eids)
+        np.testing.assert_array_equal(d2, ed2)
+
+    def test_refreshed_index_with_emptied_buckets(self):
+        # A delta that drops every record of three buckets: the
+        # refreshed index keeps their ids with no rows, and queries
+        # aimed at the removed records find their neighbours elsewhere.
+        fp, _ = synthetic_map(3000, d=14, seed=64)
+        index = SpatialIndex.build(fp)
+        gone = np.flatnonzero(index._counts)[[0, 4, 9]]
+        kept = np.flatnonzero(~np.isin(index.assign, gone))
+        refreshed = index.refreshed(
+            fp[kept], kept, np.arange(kept.size)
+        )
+        assert (refreshed._counts[gone] == 0).all()
+        removed = np.flatnonzero(np.isin(index.assign, gone))
+        rng = np.random.default_rng(65)
+        q = np.vstack(
+            [
+                fp[removed[:12]] + rng.normal(0.0, 1.0, size=(12, 14)),
+                queries_near(fp, 12, seed=66),
+            ]
+        )
+        d2, ids = refreshed.query(q, 5)
+        ed2, eids = brute_exact(q, fp[kept], 5)
+        np.testing.assert_array_equal(ids, eids)
+        np.testing.assert_array_equal(d2, ed2)
+
 
 class TestSelectionMemory:
     """The dense (b, width) scatter must refuse pathological pools."""

@@ -314,6 +314,40 @@ def test_rows_match_oracle_alone_and_in_batch(case):
         del completion, tensor
 
 
+@pytest.mark.parametrize("b", [64, 256])
+@pytest.mark.parametrize("rows", ["spread", "clustered"])
+def test_wide_masked_batches_match_across_partitioning(b, rows):
+    """From 64 rows both sweeps compute ``a @ Wᵀ``: a masked batch
+    over the buckets of a partition returns the ids and distances of
+    the same batch over the whole map, whether its rows reach every
+    bucket or two runs of them."""
+    rng = np.random.default_rng(b)
+    # Eight well-separated clusters of 400 records, one bucket each.
+    centres = rng.uniform(-90.0, -25.0, size=(8, 24))
+    assign = np.repeat(np.arange(8), 400)
+    fp = centres[assign] + rng.normal(0.0, 1.0, size=(3200, 24))
+    if rows == "spread":
+        home = rng.integers(0, 8, b)
+    else:
+        home = np.arange(b) % 2 * 2
+    q = centres[home] + rng.normal(0.0, 1.0, size=(b, 24))
+    mask = rng.random(q.shape) > 0.3
+    q = np.where(mask, q, 0.0)
+    whole = index_module.MapSearch(fp)
+    parts = index_module.MapSearch(fp)
+    parts.partition(assign)
+    tracer = Tracer(sample_every=1)
+    root = tracer.start("batch")
+    with tracer.activate(root):
+        d2, ids = parts.query(q, 3, mask, stage="completion")
+    want_d2, want_ids = whole.query(q, 3, mask, stage="completion")
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(d2, want_d2)
+    (gemm,) = [c for c in root.children if c.name == "completion.gemm"]
+    read = 800 if rows == "clustered" else len(fp)
+    assert gemm.meta["rows_read"] == read
+
+
 def bound_nbytes(search):
     """Bytes of the bound state ``search`` has built."""
     return sum(

@@ -117,6 +117,21 @@ def test_registry_evicts_in_lru_order(city):
     )
 
 
+def test_full_load_and_fast_reload_report_one_footprint(city):
+    """Both load paths map every member, so a venue's resident/mapped
+    split, and the registry's gauges, do not depend on which one ran."""
+    store, mapping, _, _ = city
+    venue = sorted(mapping)[0]
+    registry = ShardRegistry(store, mapping)
+    full = registry.get(venue).footprint()
+    registry.evict(venue)
+    fast = registry.get(venue).footprint()
+    assert registry.stats.fast_reloads == 1
+    assert fast == full
+    entry = registry._entries[venue]
+    assert (entry.resident, entry.mapped) == full
+
+
 def test_registry_never_evicts_the_venue_just_loaded(city):
     store, mapping, _, _ = city
     # A budget below a single shard still serves: the MRU survives.
